@@ -70,14 +70,14 @@ bench2:
 	$(GO) run ./cmd/benchharness -experiment bench2 -warmup 200 -observations 2000 -out BENCH_2.json
 
 # bench3 regenerates BENCH_3.json, the write-coalescing + channel-striping
-# sweep over the paced wire: the PR-4 single-stripe baseline against
-# one/two/four stripes with adaptive coalescing at both ends.
+# sweep over the paced wire: one/two/four stripes, every connection
+# coalescing at both ends.
 bench3:
 	$(GO) run ./cmd/benchharness -experiment bench3 -warmup 200 -observations 2000 -out BENCH_3.json
 
-# bench4 regenerates BENCH_4.json, the zero-copy + sharding snapshot: the
-# Fig. 11 grid on the refcounted frame path, the shard-count throughput
-# sweep, and per-op copy accounting for Invoke vs InvokeView.
+# bench4 regenerates BENCH_4.json, the zero-copy snapshot: the Fig. 11 grid
+# on the refcounted frame path and per-op copy accounting for Invoke vs
+# InvokeView.
 bench4:
 	$(GO) run ./cmd/benchharness -experiment bench4 -warmup 200 -observations 2000 -out BENCH_4.json
 
@@ -105,7 +105,7 @@ bench7:
 
 # bench8 regenerates BENCH_8.json, the collocation + multi-core snapshot:
 # the collocated direct path against real loopback TCP at equal concurrency
-# (>=5x), the matched-shards sweep at GOMAXPROCS 1 and NumCPU (>=2x at 16
+# (>=5x), the pipelined wire path at GOMAXPROCS 1 and NumCPU (>=2x at 16
 # in flight on a multi-core host), and the Fig. 11 256B cell re-run.
 bench8:
 	$(GO) run ./cmd/benchharness -experiment bench8 -out BENCH_8.json

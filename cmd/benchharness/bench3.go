@@ -23,10 +23,9 @@ import (
 // experiments), charged once per vectored write. The servant does no work,
 // so the wire is the bottleneck being amortised: coalescing pays the
 // per-call cost once for a whole batch, striping opens parallel paced
-// lanes. Four configurations run the same in-flight sweep: the PR-4
-// baseline (one stripe, one write call per frame) and one/two/four stripes
-// with adaptive coalescing on at both ends. Durations are nanoseconds so
-// the file diffs cleanly across runs.
+// lanes. Three configurations — one, two and four stripes, each coalescing
+// at both ends as every ORB connection does — run the same in-flight sweep.
+// Durations are nanoseconds so the file diffs cleanly across runs.
 type bench3Snapshot struct {
 	Meta         benchMeta      `json:"meta"`
 	Observations int            `json:"observations_per_level"`
@@ -34,20 +33,15 @@ type bench3Snapshot struct {
 	PayloadBytes int            `json:"payload_bytes"`
 	PerWriteNs   int64          `json:"wire_cost_per_write_ns"`
 	Configs      []bench3Config `json:"configs"`
-	// SpeedupAt64 is the 4-stripe coalesced throughput at 64 in-flight over
-	// the baseline at 64 in-flight; the acceptance floor is 1.5.
+	// SpeedupAt64 is the 4-stripe throughput at 64 in-flight over the
+	// 1-stripe throughput at 64 in-flight; the acceptance floor is 1.5.
 	SpeedupAt64 float64 `json:"speedup_at_64"`
-	// LoneCallerRatio is the coalesced single-stripe median at 1 in-flight
-	// over the baseline's — the adaptive policy's no-latency-tax guarantee;
-	// the acceptance ceiling is 1.05.
-	LoneCallerRatio float64 `json:"lone_caller_median_ratio"`
 }
 
 type bench3Config struct {
-	Name     string        `json:"name"`
-	Stripes  int           `json:"stripes"`
-	Coalesce bool          `json:"coalesce"`
-	Levels   []bench3Level `json:"levels"`
+	Name    string        `json:"name"`
+	Stripes int           `json:"stripes"`
+	Levels  []bench3Level `json:"levels"`
 	// FramesPerFlush averages the coalescer's batch size over the whole
 	// sweep (client and server flushes combined); 1.0 means no batching.
 	FramesPerFlush float64 `json:"frames_per_flush"`
@@ -138,34 +132,20 @@ func runBench3(warmup, obs int, outPath string) error {
 		PerWriteNs: int64(bench3WireCost),
 	}
 
-	configs := []struct {
-		name     string
-		stripes  int
-		coalesce bool
-	}{
-		{"baseline-1stripe", 1, false},
-		{"coalesce-1stripe", 1, true},
-		{"coalesce-2stripe", 2, true},
-		{"coalesce-4stripe", 4, true},
-	}
-	for _, c := range configs {
-		cfg, err := runBench3Config(c.name, c.stripes, c.coalesce, warmup, obs, payloadBytes)
+	for _, stripes := range []int{1, 2, 4} {
+		cfg, err := runBench3Config(fmt.Sprintf("coalesce-%dstripe", stripes), stripes, warmup, obs, payloadBytes)
 		if err != nil {
 			return err
 		}
 		snap.Configs = append(snap.Configs, cfg)
 	}
 
-	base := snap.Configs[0]
+	one := snap.Configs[0]
 	four := snap.Configs[len(snap.Configs)-1]
-	if t := levelAt(base.Levels, 64); t > 0 {
+	if t := levelAt(one.Levels, 64); t > 0 {
 		snap.SpeedupAt64 = levelAt(four.Levels, 64) / t
 	}
-	if m := medianAt(base.Levels, 1); m > 0 {
-		snap.LoneCallerRatio = medianAt(snap.Configs[1].Levels, 1) / m
-	}
-	fmt.Printf("  speedup at 64 in-flight (4 stripes coalesced vs baseline): %.2fx\n", snap.SpeedupAt64)
-	fmt.Printf("  lone-caller median ratio (coalesced vs baseline):          %.3f\n\n", snap.LoneCallerRatio)
+	fmt.Printf("  speedup at 64 in-flight (4 stripes vs 1): %.2fx\n\n", snap.SpeedupAt64)
 
 	data, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
@@ -188,40 +168,23 @@ func levelAt(levels []bench3Level, inFlight int) float64 {
 	return 0
 }
 
-func medianAt(levels []bench3Level, inFlight int) float64 {
-	for _, lv := range levels {
-		if lv.InFlight == inFlight {
-			return float64(lv.MedianNs)
-		}
-	}
-	return 0
-}
-
 // runBench3Config stands up a fresh server+client pair in the given
 // configuration, runs the in-flight sweep, and reads the coalescing
 // counters' deltas for the whole sweep.
-func runBench3Config(name string, stripes int, coalesce bool, warmup, obs, payloadBytes int) (bench3Config, error) {
+func runBench3Config(name string, stripes, warmup, obs, payloadBytes int) (bench3Config, error) {
 	net := pacedNetwork{inner: transport.TCP{}, cost: bench3WireCost}
-	scfg := orb.ServerConfig{
+	srv, err := orb.NewServer(orb.ServerConfig{
 		Network: net, Addr: "127.0.0.1:0", ScopePoolCount: 4, Concurrency: 16,
-	}
-	ccfg := orb.ClientConfig{
-		Network: net, ScopePoolCount: 4, PipelineDepth: 128, Channels: stripes,
-	}
-	if coalesce {
-		scfg.Coalesce = &orb.CoalesceConfig{}
-		ccfg.Coalesce = &orb.CoalesceConfig{}
-	}
-	srv, err := orb.NewServer(scfg)
+	})
 	if err != nil {
 		return bench3Config{}, err
 	}
 	defer srv.Close()
 	srv.RegisterServant("echo", corba.EchoServant{})
 	srv.ServeBackground()
-	ccfg.Addr = srv.Addr()
-
-	cl, err := orb.DialClient(ccfg)
+	cl, err := orb.DialClient(orb.ClientConfig{
+		Network: net, Addr: srv.Addr(), ScopePoolCount: 4, PipelineDepth: 128, Channels: stripes,
+	})
 	if err != nil {
 		return bench3Config{}, err
 	}
@@ -235,7 +198,7 @@ func runBench3Config(name string, stripes int, coalesce bool, warmup, obs, paylo
 	flush0 := telemetry.Default.Counter("coalesce_flush_total").Value()
 	frames0 := telemetry.Default.Counter("coalesce_frames_total").Value()
 
-	cfg := bench3Config{Name: name, Stripes: stripes, Coalesce: coalesce}
+	cfg := bench3Config{Name: name, Stripes: stripes}
 	for _, level := range bench3Levels {
 		lv, err := bench3Measure(cl, level, obs, payloadBytes)
 		if err != nil {
@@ -254,10 +217,8 @@ func runBench3Config(name string, stripes int, coalesce bool, warmup, obs, paylo
 		cfg.FramesPerFlush = float64(frames) / float64(flushes)
 		cfg.WritesSaved = frames - flushes
 	}
-	if coalesce {
-		fmt.Printf("  %-17s frames/flush %.2f, wire writes saved %d\n",
-			name, cfg.FramesPerFlush, cfg.WritesSaved)
-	}
+	fmt.Printf("  %-17s frames/flush %.2f, wire writes saved %d\n",
+		name, cfg.FramesPerFlush, cfg.WritesSaved)
 	fmt.Println()
 	return cfg, nil
 }

@@ -27,10 +27,9 @@ import (
 //     (must be 0.0 — the zero-copy contract) and the share of invocations
 //     the collocated counter accounts for (must be 1.0 — nothing leaked to
 //     the wire).
-//   - multicore: the shard sweep (matched server Shards × client
-//     ReactorShards) run at GOMAXPROCS=1 and GOMAXPROCS=NumCPU with 16
-//     pipelined invokers. The tracked number is the NumCPU/1 throughput
-//     ratio at the 16-in-flight column; ≥2x on a multi-core host. On a
+//   - multicore: the wire path's pipelined echo run at GOMAXPROCS=1 and
+//     GOMAXPROCS=NumCPU with 16 pipelined invokers. The tracked number is
+//     the NumCPU/1 throughput ratio; ≥2x on a multi-core host. On a
 //     single-core host the two legs coincide (GOMAXPROCS=NumCPU=1) and the
 //     ratio is 1.0 by construction — SingleCoreHost flags that run so the
 //     diff reader does not mistake it for a scaling regression.
@@ -47,7 +46,7 @@ type bench8Snapshot struct {
 	Collocation    bench8Collocation `json:"collocation"`
 	Multicore      []bench8CoreRow   `json:"multicore"`
 	// MulticoreSpeedup is the GOMAXPROCS=NumCPU vs GOMAXPROCS=1 throughput
-	// ratio at the best shard count of the 16-in-flight column.
+	// ratio at 16 in flight.
 	MulticoreSpeedup float64 `json:"multicore_speedup_numcpu_vs_1"`
 	Fig11_256        struct {
 		CompadresMedianNs int64 `json:"compadres_median_ns"`
@@ -73,21 +72,16 @@ type bench8Collocation struct {
 	Speedup float64 `json:"speedup_collocated_vs_tcp"`
 }
 
-// bench8CoreRow is one (GOMAXPROCS, shard count) cell of the sweep.
+// bench8CoreRow is one GOMAXPROCS leg of the multi-core run.
 type bench8CoreRow struct {
 	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Shards        int     `json:"shards"`
 	Invokers      int     `json:"invokers"`
 	ThroughputOps float64 `json:"throughput_ops_per_sec"`
 	MedianNs      int64   `json:"median_ns"`
 	P99Ns         int64   `json:"p99_ns"`
 }
 
-// bench8ShardCounts sweeps the inline path and two pool widths; the
-// 16-invoker load keeps every width saturated.
-var bench8ShardCounts = []int{1, 2, 4}
-
-// bench8Invokers is the fixed in-flight column of the sweep and the equal
+// bench8Invokers is the in-flight depth of the multi-core run and the equal
 // concurrency of the collocation comparison.
 const bench8Invokers = 16
 
@@ -117,37 +111,30 @@ func runBench8(warmup, obs int, outPath string) error {
 		metrics.Micros(time.Duration(col.TCPP99Ns)), col.TCPOps)
 	fmt.Printf("    speedup   : %.1fx (bar: >=5x)\n\n", col.Speedup)
 
-	// --- multi-core shard sweep ---
+	// --- multi-core run ---
 	numCPU := runtime.NumCPU()
-	fmt.Printf("  Multi-core sweep (matched shards, %d invokers, GOMAXPROCS 1 and %d):\n",
-		bench8Invokers, numCPU)
+	fmt.Printf("  Multi-core run (%d invokers, GOMAXPROCS 1 and %d):\n", bench8Invokers, numCPU)
 	procs := []int{1}
 	if numCPU > 1 {
 		procs = append(procs, numCPU)
 	}
-	best := map[int]float64{}
 	prev := runtime.GOMAXPROCS(0)
 	for _, p := range procs {
 		runtime.GOMAXPROCS(p)
-		for _, shards := range bench8ShardCounts {
-			row, err := runBench8Shards(p, shards, warmup, obs)
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return err
-			}
-			snap.Multicore = append(snap.Multicore, row)
-			if row.ThroughputOps > best[p] {
-				best[p] = row.ThroughputOps
-			}
-			fmt.Printf("    GOMAXPROCS=%d shards=%d: %10.0f ops/s  median %sµs  p99 %sµs\n",
-				p, shards, row.ThroughputOps,
-				metrics.Micros(time.Duration(row.MedianNs)),
-				metrics.Micros(time.Duration(row.P99Ns)))
+		row, err := runBench8Procs(p, warmup, obs)
+		if err != nil {
+			runtime.GOMAXPROCS(prev)
+			return err
 		}
+		snap.Multicore = append(snap.Multicore, row)
+		fmt.Printf("    GOMAXPROCS=%d: %10.0f ops/s  median %sµs  p99 %sµs\n",
+			p, row.ThroughputOps,
+			metrics.Micros(time.Duration(row.MedianNs)),
+			metrics.Micros(time.Duration(row.P99Ns)))
 	}
 	runtime.GOMAXPROCS(prev)
-	if numCPU > 1 && best[1] > 0 {
-		snap.MulticoreSpeedup = best[numCPU] / best[1]
+	if len(snap.Multicore) > 1 && snap.Multicore[0].ThroughputOps > 0 {
+		snap.MulticoreSpeedup = snap.Multicore[1].ThroughputOps / snap.Multicore[0].ThroughputOps
 	} else {
 		// GOMAXPROCS=NumCPU and GOMAXPROCS=1 are the same leg on this host.
 		snap.MulticoreSpeedup = 1.0
@@ -330,15 +317,14 @@ func bench8Drive(cl *orb.Client, warmup, obs int) (metrics.Summary, float64, err
 	return metrics.Summarize(samples), float64(len(samples)) / wall.Seconds(), nil
 }
 
-// runBench8Shards is one cell of the multi-core sweep: a matched
-// server-Shards × client-ReactorShards pair over the wire path (collocation
-// off — the sweep measures the parallel dispatch pipeline, and the direct
-// path would bypass exactly the machinery under test).
-func runBench8Shards(procs, shards, warmup, obs int) (bench8CoreRow, error) {
+// runBench8Procs is one leg of the multi-core run: a pipelined echo over
+// the wire path at the current GOMAXPROCS (collocation off — the run
+// measures the parallel dispatch pipeline, and the direct path would bypass
+// exactly the machinery under test).
+func runBench8Procs(procs, warmup, obs int) (bench8CoreRow, error) {
 	net := transport.NewInproc()
 	srv, err := orb.NewServer(orb.ServerConfig{
-		Network: net, Addr: "bench8core", ScopePoolCount: 4,
-		Shards: shards, Concurrency: 8,
+		Network: net, Addr: "bench8core", ScopePoolCount: 4, Concurrency: 8,
 	})
 	if err != nil {
 		return bench8CoreRow{}, err
@@ -349,7 +335,7 @@ func runBench8Shards(procs, shards, warmup, obs int) (bench8CoreRow, error) {
 
 	cl, err := orb.DialClient(orb.ClientConfig{
 		Network: net, Addr: "bench8core", ScopePoolCount: 4,
-		ReactorShards: shards, PipelineDepth: 128, MsgPoolCapacity: 256,
+		PipelineDepth: 128, MsgPoolCapacity: 256,
 	})
 	if err != nil {
 		return bench8CoreRow{}, err
@@ -362,7 +348,6 @@ func runBench8Shards(procs, shards, warmup, obs int) (bench8CoreRow, error) {
 	}
 	return bench8CoreRow{
 		GOMAXPROCS:    procs,
-		Shards:        shards,
 		Invokers:      bench8Invokers,
 		ThroughputOps: ops,
 		MedianNs:      int64(sum.Median),

@@ -36,9 +36,6 @@ type ClientConfig struct {
 	RefreshInterval time.Duration
 	// MaxMessage bounds a reply body; zero selects orb.DefaultMaxMessage.
 	MaxMessage int
-	// Coalesce and ReactorShards pass through to the underlying orb client.
-	Coalesce      *orb.CoalesceConfig
-	ReactorShards int
 	// Collocate opts the client into the collocated fast path (see
 	// orb.ClientConfig.Collocate): when a resolved group member is an
 	// orb.Server in this process on this Network, invocations dispatch the
@@ -87,12 +84,10 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		Resolve: func() ([]string, error) {
 			return Resolve(cfg.Network, cfg.Directory, cfg.Group)
 		},
-		Channels:      cfg.Channels,
-		Resilience:    res,
-		MaxMessage:    cfg.MaxMessage,
-		Coalesce:      cfg.Coalesce,
-		ReactorShards: cfg.ReactorShards,
-		Collocate:     cfg.Collocate,
+		Channels:   cfg.Channels,
+		Resilience: res,
+		MaxMessage: cfg.MaxMessage,
+		Collocate:  cfg.Collocate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial group %q: %w", cfg.Group, err)

@@ -56,6 +56,9 @@ type Component struct {
 	level  int           // 0 for immortal components
 	mgr    *SMM          // the SMM that instantiated this component (nil for top-level)
 	def    *ChildDef     // blueprint this instance came from (nil for top-level)
+	// incarnation numbers a Reusable instance among its SMM's from-scratch
+	// builds of the same child (see SMM.incarnations).
+	incarnation uint64
 
 	// started flips once the instance's start function has run (child
 	// instances only). Message dispatch checks it — one atomic load on the

@@ -211,3 +211,53 @@ func TestReusableChildConcurrentStorm(t *testing.T) {
 		t.Errorf("handler errors: %d (%v)", n, err)
 	}
 }
+
+// TestReusableLateStashDoesNotRevive pins the stale-shell fence. A
+// quiescing Reusable instance A is forgotten before its shell is stashed;
+// a send landing in that window instantiates a fresh instance B, whose
+// Setup rebinds the ports to B. If A's stash then lands (here after B has
+// quiesced and stashed itself), reviving A would put A in the children
+// table while its ports still name the disposed B: every later send loses
+// the binding race forever. The test replays that interleaving by holding
+// A's shell back by hand, and demands that the next send is served.
+func TestReusableLateStashDoesNotRevive(t *testing.T) {
+	app := newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 14, Count: 2}},
+	})
+	h := newReusableHarness(t, app)
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	smm := h.parent.SMM()
+
+	// A serves one message and quiesces into the shell table.
+	h.send(t, 1)
+	waitRecv(t, h.served)
+	waitGone(t, smm, "Worker")
+	a := smm.takeShell("Worker")
+	if a == nil {
+		t.Fatal("no shell stashed after quiescence")
+	}
+
+	// A's stash is "still pending": the next send instantiates B afresh.
+	h.send(t, 2)
+	waitRecv(t, h.served)
+	waitGone(t, smm, "Worker")
+
+	// A's late stash lands on top of B's.
+	smm.stashShell(a)
+
+	done := make(chan error, 1)
+	go func() { done <- h.sendErr(3) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("send wedged: a stale shell was revived under ports bound to another instance")
+	}
+	if v := waitRecv(t, h.served); v != 3 {
+		t.Fatalf("served %d, want 3", v)
+	}
+}

@@ -75,6 +75,13 @@ type SMM struct {
 	shared   *sched.Pool
 	pools    []*sched.Pool // all pools owned by this SMM, for shutdown
 
+	// incarnations counts, per child name, the Reusable instances built
+	// from scratch (Setup run, ports rebound to the new instance), guarded
+	// by mu. A shell whose incarnation is older was superseded while it was
+	// being torn down: its ports name another instance, so it must never
+	// revive.
+	incarnations map[string]uint64
+
 	mechanism atomic.Int32
 	stopped   atomic.Bool
 	routeGen  atomic.Uint64 // bumped under mu on registerIn/registerOut/Rewire/Swap
@@ -614,6 +621,16 @@ func (s *SMM) instantiate(def *ChildDef) (*Component, error) {
 		def:         def,
 		autoDispose: !def.Persistent,
 	}
+	if def.Reusable {
+		// Under instMu, like takeShell's check: no revival can interleave.
+		s.mu.Lock()
+		if s.incarnations == nil {
+			s.incarnations = make(map[string]uint64)
+		}
+		s.incarnations[def.Name]++
+		child.incarnation = s.incarnations[def.Name]
+		s.mu.Unlock()
+	}
 
 	fail := func(err error) (*Component, error) {
 		wedge.Release()
@@ -694,12 +711,18 @@ func (s *SMM) stashShell(c *Component) {
 	s.mu.Unlock()
 }
 
-// takeShell claims a stashed shell, if any.
+// takeShell claims a stashed shell, if any. A shell superseded by a newer
+// instance is dropped instead: its quiescence forgot it before a send
+// instantiated a fresh instance (rebinding the ports), and its stash landed
+// afterwards.
 func (s *SMM) takeShell(name string) *Component {
 	s.mu.Lock()
 	c := s.shells[name]
 	if c != nil {
 		delete(s.shells, name)
+		if c.incarnation != s.incarnations[name] {
+			c = nil
+		}
 	}
 	s.mu.Unlock()
 	return c

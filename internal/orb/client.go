@@ -74,20 +74,6 @@ type ClientConfig struct {
 	// a band is preserved (stripe.go). Zero or one keeps the single
 	// connection; values above 32 clamp.
 	Channels int
-	// Coalesce opts the send path into adaptive write coalescing
-	// (coalesce.go): concurrent senders' frames are flushed as one vectored
-	// write, amortising syscalls under pipelining with no latency tax on a
-	// lone caller. Nil disables coalescing (every frame is its own write,
-	// the PR-4 discipline).
-	Coalesce *CoalesceConfig
-	// ReactorShards shards each connection's demux pending table: entries
-	// hash by request id to per-shard maps with their own locks, so
-	// concurrent registrations (submitters) and completions (the reactor)
-	// stop serialising on one table mutex at high pipelining. Composes with
-	// Channels: every stripe's connection gets its own sharded table.
-	// Zero or one keeps a single shard; AutoShards sizes to GOMAXPROCS;
-	// values clamp to the same bound as ServerConfig.Shards.
-	ReactorShards int
 	// Tenant classifies this client's traffic for server-side overload
 	// control: every request carries the id and QoS tier in a GIOP service
 	// context (giop.TenantContextID), which a controller-equipped server
@@ -121,6 +107,11 @@ const DefaultMaxMessage = 4096
 // tripping client-side backpressure.
 const DefaultPipelineDepth = 128
 
+// sendWidth is the thread width of the client's marshalling pipeline (the
+// Transport and MessageProcessing port pools), which also caps how many
+// request frames can sit in a connection's write coalescer at once.
+const sendWidth = 2
+
 // Client is the component-structured ORB client of Fig. 10 (left). Its
 // invocations pipeline over one multiplexed GIOP connection: submissions
 // are marshalled and written by the component pipeline, and a per-connection
@@ -138,8 +129,7 @@ type Client struct {
 	closed   atomic.Bool
 	network  transport.Network
 	addr     string
-	res      *resilience     // nil unless ClientConfig.Resilience was set
-	coalesce *CoalesceConfig // nil unless ClientConfig.Coalesce was set
+	res      *resilience // nil unless ClientConfig.Resilience was set
 	inflight atomic.Int64
 	gauge    *telemetry.GaugeHandle
 
@@ -178,14 +168,6 @@ type Client struct {
 	// Only set for synchronous clients, whose submissions register the
 	// pending entry on the caller's goroutine before await runs.
 	leaderFollower bool
-
-	// reactorShards is the per-connection pending-table shard count
-	// (resolved from ClientConfig.ReactorShards, minimum 1); shardOps
-	// counts registrations per shard across all stripes, exported as
-	// per-shard gauges when sharding is on.
-	reactorShards int
-	shardOps      []atomic.Int64
-	shardGauges   []*telemetry.GaugeHandle
 }
 
 // DialClient builds the client component structure and connects it. The
@@ -262,10 +244,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Resilience != nil {
 		cl.res = newResilience(*cfg.Resilience)
 	}
-	if cfg.Coalesce != nil {
-		co := cfg.Coalesce.withDefaults()
-		cl.coalesce = &co
-	}
 	channels := cfg.Channels
 	if channels <= 0 {
 		channels = 1
@@ -276,19 +254,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	}
 	if channels > maxChannels {
 		channels = maxChannels
-	}
-	cl.reactorShards = resolveShards(cfg.ReactorShards)
-	if cl.reactorShards < 1 {
-		cl.reactorShards = 1
-	}
-	if cl.reactorShards > 1 {
-		cl.shardOps = make([]atomic.Int64, cl.reactorShards)
-		for i := range cl.shardOps {
-			ops := &cl.shardOps[i]
-			cl.shardGauges = append(cl.shardGauges, telemetry.Default.RegisterGauge(
-				"demux_ops", fmt.Sprintf("orb.client.rshard%d", i),
-				func() int64 { return ops.Load() }))
-		}
 	}
 	for i := 0; i < channels; i++ {
 		st := &stripe{cl: cl, idx: i}
@@ -310,14 +275,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		}
 	}
 
-	// The marshalling pipeline's width caps how many frames can be inside
-	// the coalescer at once, which in turn caps batch sizes; widen it when
-	// coalescing is on.
-	sendWidth := 2
-	if cl.coalesce != nil && cl.coalesce.SendWidth > sendWidth {
-		sendWidth = cl.coalesce.SendWidth
-	}
-
 	threading := core.ThreadingShared
 	if cfg.Synchronous {
 		threading = core.ThreadingSynchronous
@@ -337,7 +294,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 			Name:       "Transport",
 			MemorySize: transportSize,
 			Persistent: true,
-			Setup:      cl.transportSetup(threading, mpSize, cfg.ScopePoolCount > 0, depth, sendWidth),
+			Setup:      cl.transportSetup(threading, mpSize, cfg.ScopePoolCount > 0, depth),
 		})
 	})
 	if err != nil {
@@ -364,7 +321,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 // the Out port feeding MessageProcessing, the per-request child definition,
 // and the start function that dials every stripe's connection and launches
 // its reactor.
-func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool bool, depth, sendWidth int) func(*core.Component) error {
+func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool bool, depth int) func(*core.Component) error {
 	return func(tc *core.Component) error {
 		orbSMM := tc.Parent().SMM()
 		tSMM := tc.SMM()
@@ -1067,9 +1024,6 @@ func (cl *Client) Close() {
 		if st.gauge != nil {
 			st.gauge.Unregister()
 		}
-	}
-	for _, g := range cl.shardGauges {
-		g.Unregister()
 	}
 	cl.gauge.Unregister()
 	cl.app.Stop()

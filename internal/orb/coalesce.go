@@ -8,57 +8,26 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the adaptive write-coalescing layer shared by the client mux
-// send path and the server reply path. Senders hand the coalescer one framed
-// GIOP message each and block until their frame reaches the connection; the
-// first sender to find the writer idle becomes the flusher and writes every
-// queued frame as one vectored write (group commit). The policy is adaptive
-// with no timers: a lone caller's frame flushes immediately — the idle
-// flusher takes a batch of one — while under contention frames pile up
+// This file is the write path of every ORB connection: the client mux send
+// path and the server reply path both hand their frames to a coalescer.
+// Senders hand the coalescer one framed GIOP message each and block until
+// their frame reaches the connection; the first sender to find the writer
+// idle becomes the flusher and writes every queued frame as one vectored
+// write (group commit). The policy is adaptive with no timers: a lone
+// caller's frame flushes immediately — the idle flusher takes a batch of one
+// and writes it with a plain Write — while under contention frames pile up
 // behind the in-progress write and the next flush drains them all, bounded
-// by MaxBatchFrames/MaxBatchBytes. Blocking the sender (rather than copying
+// by maxBatchFrames/maxBatchBytes. Blocking the sender (rather than copying
 // the frame and returning) is load-bearing twice over: the frame bytes live
 // in a pooled per-request scope that is reclaimed when the sender's handler
 // returns, and oneway invocations report write errors synchronously.
 
-// CoalesceConfig opts an ORB endpoint into adaptive write coalescing.
-// The zero value of each field selects its default.
-type CoalesceConfig struct {
-	// MaxBatchFrames bounds how many frames one vectored write carries;
-	// zero selects 32.
-	MaxBatchFrames int
-	// MaxBatchBytes bounds the byte size of one vectored write; zero
-	// selects 64 KiB. A single frame larger than the bound still flushes
-	// (alone) — the bound caps batching, not frame size.
-	MaxBatchBytes int
-	// SendWidth widens the client's marshalling pipeline (the Transport and
-	// MessageProcessing port pools) so that many requests can be in the
-	// coalescer at once; zero selects 8. Without widening, the default
-	// two-thread pipeline caps batches at two frames regardless of load.
-	// Ignored by the server, whose width is ServerConfig.Concurrency.
-	SendWidth int
-}
-
-// Coalescing defaults.
+// Batch bounds of one flush. A single frame larger than maxBatchBytes still
+// flushes (alone): the bound caps batching, not frame size.
 const (
-	defaultMaxBatchFrames = 32
-	defaultMaxBatchBytes  = 64 << 10
-	defaultSendWidth      = 8
+	maxBatchFrames = 32
+	maxBatchBytes  = 64 << 10
 )
-
-// withDefaults fills zero fields.
-func (c CoalesceConfig) withDefaults() CoalesceConfig {
-	if c.MaxBatchFrames <= 0 {
-		c.MaxBatchFrames = defaultMaxBatchFrames
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = defaultMaxBatchBytes
-	}
-	if c.SendWidth <= 0 {
-		c.SendWidth = defaultSendWidth
-	}
-	return c
-}
 
 // Coalescing metrics, exported at /metrics with the compadres_ prefix.
 // frames/flush — the syscall amortisation factor — is
@@ -78,7 +47,7 @@ var (
 // every later write fails fast — a partial frame has desynchronised GIOP
 // framing, so the connection is unusable anyway.
 type coalescer struct {
-	conn writerConn
+	conn transport.Conn
 	// timeout, when non-nil, bounds each flush via the connection's write
 	// deadline (the client passes its per-invoke timeout; the server passes
 	// nil).
@@ -96,23 +65,17 @@ type coalescer struct {
 	batch    [][]byte
 }
 
-// writerConn is the slice of transport.Conn the coalescer needs; tests
-// substitute scripted writers.
-type writerConn interface {
-	Write(p []byte) (int, error)
-}
-
-// newCoalescer builds a coalescer over conn with cfg's (default-filled)
-// bounds.
-func newCoalescer(conn writerConn, cfg CoalesceConfig, timeout func() time.Duration) *coalescer {
-	cfg = cfg.withDefaults()
+// newCoalescer builds a coalescer over conn whose flushes carry at most
+// maxFrames frames and maxBytes bytes (connections pass maxBatchFrames and
+// maxBatchBytes; tests pass small bounds).
+func newCoalescer(conn transport.Conn, maxFrames, maxBytes int, timeout func() time.Duration) *coalescer {
 	co := &coalescer{
 		conn:      conn,
 		timeout:   timeout,
-		maxFrames: cfg.MaxBatchFrames,
-		maxBytes:  cfg.MaxBatchBytes,
-		queue:     make([][]byte, 0, cfg.MaxBatchFrames),
-		batch:     make([][]byte, 0, cfg.MaxBatchFrames),
+		maxFrames: maxFrames,
+		maxBytes:  maxBytes,
+		queue:     make([][]byte, 0, maxFrames),
+		batch:     make([][]byte, 0, maxFrames),
 	}
 	co.cond.L = &co.mu
 	return co
@@ -208,8 +171,10 @@ func (co *coalescer) write(frame []byte) (err error, owner bool) {
 	}
 }
 
-// flush writes one batch to the connection as a single vectored write,
-// bounded by the write deadline when one is configured.
+// flush writes one batch to the connection, bounded by the write deadline
+// when one is configured. A batch of one — every lone caller's — is a plain
+// Write: the vectored path costs a lone caller its net.Buffers conversion,
+// an allocation per flush, and buys nothing for a single frame.
 func (co *coalescer) flush(batch [][]byte) error {
 	if co.timeout != nil {
 		if t := co.timeout(); t > 0 {
@@ -218,25 +183,10 @@ func (co *coalescer) flush(batch [][]byte) error {
 			}
 		}
 	}
-	_, err := writeBatch(co.conn, batch)
+	if len(batch) == 1 {
+		_, err := co.conn.Write(batch[0])
+		return err
+	}
+	_, err := transport.WriteBuffers(co.conn, batch)
 	return err
-}
-
-// writeBatch routes a batch through the transport's vectored-write helper
-// when the writer is a full connection (writev on TCP, sequential parity
-// elsewhere) and degrades to sequential writes for the scripted writers the
-// tests substitute.
-func writeBatch(w writerConn, bufs [][]byte) (int64, error) {
-	if c, ok := w.(transport.Conn); ok {
-		return transport.WriteBuffers(c, bufs)
-	}
-	var total int64
-	for _, b := range bufs {
-		n, err := w.Write(b)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -113,7 +113,7 @@ func waitFlushing(t *testing.T, co *coalescer) {
 func TestCoalescerLoneCallerImmediate(t *testing.T) {
 	w := newGatedWriter()
 	w.allow(64)
-	co := newCoalescer(w, CoalesceConfig{}, nil)
+	co := newCoalescer(w, maxBatchFrames, maxBatchBytes, nil)
 	for i := 0; i < 5; i++ {
 		frame := []byte(fmt.Sprintf("frame-%d", i))
 		if err, _ := co.write(frame); err != nil {
@@ -136,7 +136,7 @@ func TestCoalescerLoneCallerImmediate(t *testing.T) {
 // next vectored write, in enqueue order.
 func TestCoalescerBatchesQueuedSenders(t *testing.T) {
 	w := newGatedWriter()
-	co := newCoalescer(w, CoalesceConfig{}, nil)
+	co := newCoalescer(w, maxBatchFrames, maxBatchBytes, nil)
 
 	results := make(chan error, 3)
 	go func() { err, _ := co.write([]byte("first")); results <- err }()
@@ -169,11 +169,11 @@ func TestCoalescerBatchesQueuedSenders(t *testing.T) {
 }
 
 // TestCoalescerMaxBatchFrames pins the batch bound: five queued frames
-// behind a one-frame flush drain in ceil(5/2) batches when MaxBatchFrames
+// behind a one-frame flush drain in ceil(5/2) batches when the frame bound
 // is 2, never one giant write.
 func TestCoalescerMaxBatchFrames(t *testing.T) {
 	w := newGatedWriter()
-	co := newCoalescer(w, CoalesceConfig{MaxBatchFrames: 2}, nil)
+	co := newCoalescer(w, 2, maxBatchBytes, nil)
 
 	const extra = 5
 	results := make(chan error, extra+1)
@@ -203,11 +203,11 @@ func TestCoalescerMaxBatchFrames(t *testing.T) {
 }
 
 // TestCoalescerMaxBatchBytes pins the byte bound: frames stop joining a
-// batch once it would exceed MaxBatchBytes, but an over-bound frame alone
+// batch once it would exceed the byte bound, but an over-bound frame alone
 // still flushes.
 func TestCoalescerMaxBatchBytes(t *testing.T) {
 	w := newGatedWriter()
-	co := newCoalescer(w, CoalesceConfig{MaxBatchBytes: 10}, nil)
+	co := newCoalescer(w, maxBatchFrames, 10, nil)
 
 	results := make(chan error, 4)
 	go func() { err, _ := co.write([]byte("head")); results <- err }()
@@ -241,7 +241,7 @@ func TestCoalescerMaxBatchBytes(t *testing.T) {
 func TestCoalescerWriteErrorOwnership(t *testing.T) {
 	w := newGatedWriter()
 	w.failOn = 1 // the first flush fails
-	co := newCoalescer(w, CoalesceConfig{}, nil)
+	co := newCoalescer(w, maxBatchFrames, maxBatchBytes, nil)
 
 	type res struct {
 		err   error
@@ -282,17 +282,15 @@ func TestCoalescerWriteErrorOwnership(t *testing.T) {
 	}
 }
 
-// TestCoalescedEchoEndToEnd runs a pipelined workload with coalescing on at
-// BOTH ends (requests and replies batch) and demands full correctness:
-// every caller gets its own payload back and the pending table drains.
+// TestCoalescedEchoEndToEnd runs a pipelined workload through default
+// configurations — coalescing is every connection's write path, at BOTH ends
+// (requests and replies batch) — and demands full correctness: every caller
+// gets its own payload back, the pending table drains, and the coalescer's
+// flush counter moves.
 func TestCoalescedEchoEndToEnd(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{
-		Concurrency: 16, Coalesce: &CoalesceConfig{},
-	})
-	cl := dial(t, net, srv.Addr(), ClientConfig{
-		PipelineDepth: 64, Coalesce: &CoalesceConfig{},
-	})
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
 	flushesBefore := coalesceFlushTotal.Value()
 	const workers, rounds = 16, 25
@@ -331,9 +329,9 @@ func TestCoalescedEchoEndToEnd(t *testing.T) {
 }
 
 // TestCoalescedConnDeathFailsOnce is TestMuxConnDeathFailsAllPendingOnce
-// with coalescing on: a wire cut stranding a whole batch of coalesced
-// senders must still count ONE breaker failure — the flush owner's — not
-// one per blocked sender.
+// with a clean close instead of a torn frame: a wire cut stranding a whole
+// batch of coalesced senders must still count ONE breaker failure — the
+// flush owner's — not one per blocked sender.
 func TestCoalescedConnDeathFailsOnce(t *testing.T) {
 	net := transport.NewInproc()
 	rs := newRawServer(t, net)
@@ -347,7 +345,6 @@ func TestCoalescedConnDeathFailsOnce(t *testing.T) {
 		conn.Close()
 	})
 	cl := dial(t, net, rs.addr, ClientConfig{
-		Coalesce:   &CoalesceConfig{},
 		Resilience: &ResilienceConfig{BreakerThreshold: 2, MaxRetries: 0},
 	})
 
@@ -371,6 +368,51 @@ func TestCoalescedConnDeathFailsOnce(t *testing.T) {
 		t.Errorf("inflight = %d after connection death", got)
 	}
 	if st := cl.stripes[0].brk.State(); st != breakerClosed {
-		t.Errorf("breaker state = %d after one wire event with coalescing on", st)
+		t.Errorf("breaker state = %d after one wire event", st)
+	}
+}
+
+// TestCoalescerLoneCallerAllocFree pins the steady-state write path's
+// allocation budget: a lone caller's flush — a batch of one on an inproc
+// connection, the net.Conn case — must not allocate. The vectored
+// conversion escapes to the heap, so a batch of one must not take it.
+func TestCoalescerLoneCallerAllocFree(t *testing.T) {
+	net := transport.NewInproc()
+	ln, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		peer, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer peer.Close()
+		buf := make([]byte, 512)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	co := newCoalescer(conn, maxBatchFrames, maxBatchBytes, nil)
+	frame := make([]byte, 256)
+	if err, _ := co.write(frame); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err, _ := co.write(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("lone-caller flush allocates %.1f times per write, want 0", allocs)
 	}
 }

@@ -16,17 +16,14 @@ import (
 )
 
 // This file is the client half of the multiplexed invocation core: one
-// writer-serialised send path plus one reader-goroutine demux reactor per
+// coalesced send path plus one reader-goroutine demux reactor per
 // connection. Requests carry monotonically increasing ids; the reactor
 // matches each inbound reply to its in-flight pending-table entry by id and
 // completes the caller's channel, so many invocations pipeline over a
 // single GIOP connection and complete out of order. The whole-exchange
 // mutex the client used to hold for a full round trip is gone — the only
-// serialisation left on the hot path is the write lock for the request
-// frame itself. The pending table is sharded (ClientConfig.ReactorShards):
-// entries hash to per-shard maps with their own locks, so concurrent
-// registrations and completions at high pipelining no longer serialise on
-// one table mutex.
+// serialisation left on the hot path is the write coalescer for the request
+// frame itself.
 
 // Mux counters, exported at /metrics with the compadres_ prefix.
 var (
@@ -117,15 +114,8 @@ type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
 // next leader) instead of wedging on the wire.
 type readDeadliner interface{ SetReadDeadline(time.Time) error }
 
-// pendingSeg is one shard of a connection's pending table: its own lock and
-// map, so registrations hashing to different shards never contend.
-type pendingSeg struct {
-	mu sync.Mutex
-	m  map[uint32]*muxPending
-}
-
-// muxConn is one multiplexed connection: the sharded pending table, the
-// write lock, and the reactor goroutine demultiplexing its replies. A wire
+// muxConn is one multiplexed connection: the pending table, the write
+// coalescer, and the reactor goroutine demultiplexing its replies. A wire
 // fault from either direction fails every pending entry exactly once with a
 // transport-level error, counts a single failure against the owning
 // stripe's breaker, and detaches the connection from its stripe so the next
@@ -136,20 +126,18 @@ type muxConn struct {
 	st   *stripe
 	conn transport.Conn
 
-	wmu sync.Mutex // serialises request writes (uncoalesced path)
-	// co, when non-nil, replaces the direct write path with the adaptive
-	// write coalescer: senders enqueue frames and block until a vectored
-	// flush covers them.
+	// co serialises request writes: senders enqueue frames and block until
+	// a flush covers them.
 	co *coalescer
 
-	// segs is the pending table, sharded by id. dead/deadErr are the
-	// connection's kill state: deadErr is written under deadMu strictly
-	// before dead is stored, and fail's sweep of each segment happens
-	// after the store while holding that segment's lock — so a register
-	// that saw dead==false under its segment lock either completes before
-	// the sweep reaches the segment or is collected by it; no entry can
-	// strand.
-	segs    []pendingSeg
+	// table holds the in-flight entries by request id, guarded by mu.
+	// dead/deadErr are the connection's kill state: deadErr is written
+	// under deadMu strictly before dead is stored, and fail's sweep of the
+	// table happens after the store while holding mu — so a register that
+	// saw dead==false under mu either completes before the sweep or is
+	// collected by it; no entry can strand.
+	mu      sync.Mutex
+	table   map[uint32]*muxPending
 	dead    atomic.Bool
 	deadMu  sync.Mutex
 	deadErr error
@@ -179,12 +167,10 @@ type muxConn struct {
 // deadlines when one is needed — caller-driven leader/follower demux.
 func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 	cl := st.cl
-	mc := &muxConn{cl: cl, st: st, conn: conn, segs: make([]pendingSeg, cl.reactorShards)}
-	for i := range mc.segs {
-		mc.segs[i].m = make(map[uint32]*muxPending, 16)
-	}
-	if cl.coalesce != nil {
-		mc.co = newCoalescer(conn, *cl.coalesce, cl.invokeTimeout)
+	mc := &muxConn{
+		cl: cl, st: st, conn: conn,
+		co:    newCoalescer(conn, maxBatchFrames, maxBatchBytes, cl.invokeTimeout),
+		table: make(map[uint32]*muxPending, 16),
 	}
 	mc.fr = giop.NewFrameReader(conn, uint32(cl.maxMsg))
 	_, canDeadline := conn.(readDeadliner)
@@ -196,11 +182,6 @@ func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 		go mc.reactor()
 	}
 	return mc
-}
-
-// seg returns the pending-table shard an id hashes to.
-func (mc *muxConn) seg(id uint32) *pendingSeg {
-	return &mc.segs[int(id)%len(mc.segs)]
 }
 
 // loadDeadErr returns the connection's kill error (call only after dead
@@ -216,56 +197,50 @@ func (mc *muxConn) loadDeadErr() error {
 // reports false without error if the caller cancelled the entry while the
 // invocation was queued — the request must not reach the wire.
 func (mc *muxConn) register(pe *muxPending) (bool, error) {
-	seg := mc.seg(pe.id)
-	seg.mu.Lock()
+	mc.mu.Lock()
 	if mc.dead.Load() {
-		seg.mu.Unlock()
+		mc.mu.Unlock()
 		return false, mc.loadDeadErr()
 	}
 	if pe.state.Load() == pendingCancelled {
-		seg.mu.Unlock()
+		mc.mu.Unlock()
 		return false, nil
 	}
-	seg.m[pe.id] = pe
-	seg.mu.Unlock()
+	mc.table[pe.id] = pe
+	mc.mu.Unlock()
 	pe.mc.Store(mc)
 	mc.cl.inflight.Add(1)
 	mc.st.inflight.Add(1)
 	mc.cl.bandInflight[pe.band].Add(1)
-	if ops := mc.cl.shardOps; ops != nil {
-		ops[int(pe.id)%len(ops)].Add(1)
-	}
 	return true, nil
 }
 
 // unregister removes an entry the caller is abandoning (deadline expiry).
 // It reports whether the entry was still tabled here.
 func (mc *muxConn) unregister(pe *muxPending) bool {
-	seg := mc.seg(pe.id)
-	seg.mu.Lock()
-	cur, ok := seg.m[pe.id]
+	mc.mu.Lock()
+	cur, ok := mc.table[pe.id]
 	if ok && cur == pe {
-		delete(seg.m, pe.id)
-		seg.mu.Unlock()
+		delete(mc.table, pe.id)
+		mc.mu.Unlock()
 		mc.cl.inflight.Add(-1)
 		mc.st.inflight.Add(-1)
 		mc.cl.bandInflight[pe.band].Add(-1)
 		return true
 	}
-	seg.mu.Unlock()
+	mc.mu.Unlock()
 	return false
 }
 
 // take removes and returns the entry for id, used by the reactor when a
 // reply arrives.
 func (mc *muxConn) take(id uint32) (*muxPending, bool) {
-	seg := mc.seg(id)
-	seg.mu.Lock()
-	pe, ok := seg.m[id]
+	mc.mu.Lock()
+	pe, ok := mc.table[id]
 	if ok {
-		delete(seg.m, id)
+		delete(mc.table, id)
 	}
-	seg.mu.Unlock()
+	mc.mu.Unlock()
 	if ok {
 		mc.cl.inflight.Add(-1)
 		mc.st.inflight.Add(-1)
@@ -276,14 +251,9 @@ func (mc *muxConn) take(id uint32) (*muxPending, bool) {
 
 // pending reports how many entries are still tabled on the connection.
 func (mc *muxConn) pending() int {
-	n := 0
-	for i := range mc.segs {
-		seg := &mc.segs[i]
-		seg.mu.Lock()
-		n += len(seg.m)
-		seg.mu.Unlock()
-	}
-	return n
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	return len(mc.table)
 }
 
 // retire drains the connection out of service: it detaches from the stripe
@@ -303,31 +273,16 @@ func (mc *muxConn) retire(grace time.Duration) {
 	}()
 }
 
-// send writes one request frame: through the coalescer when configured
-// (blocking until a vectored flush covers the frame), else directly under
-// the write lock. When the client has a per-invoke deadline configured the
-// write itself is bounded by it too — a peer that stopped reading must not
-// wedge the submit path forever. Any write error (a partial frame
-// desynchronises GIOP framing) kills the connection; with coalescing, many
-// senders may observe the same error but only the flush owner reports it,
-// preserving one-breaker-failure-per-wire-event.
+// send writes one request frame through the coalescer, blocking until a
+// flush covers it. When the client has a per-invoke deadline configured the
+// flush is bounded by it too — a peer that stopped reading must not wedge
+// the submit path forever. Any write error (a partial frame desynchronises
+// GIOP framing) kills the connection; many senders may observe the same
+// error but only the flush owner reports it, preserving
+// one-breaker-failure-per-wire-event.
 func (mc *muxConn) send(wire []byte) error {
-	if mc.co != nil {
-		err, owner := mc.co.write(wire)
-		if err != nil && owner {
-			mc.sendFailed(err)
-		}
-		return err
-	}
-	mc.wmu.Lock()
-	if t := mc.cl.invokeTimeout(); t > 0 {
-		if wd, ok := mc.conn.(writeDeadliner); ok {
-			_ = wd.SetWriteDeadline(time.Now().Add(t))
-		}
-	}
-	_, err := mc.conn.Write(wire)
-	mc.wmu.Unlock()
-	if err != nil {
+	err, owner := mc.co.write(wire)
+	if err != nil && owner {
 		mc.sendFailed(err)
 	}
 	return err
@@ -359,15 +314,12 @@ func (mc *muxConn) fail(err error) {
 	mc.deadMu.Unlock()
 
 	var victims []*muxPending
-	for i := range mc.segs {
-		seg := &mc.segs[i]
-		seg.mu.Lock()
-		for id, pe := range seg.m {
-			delete(seg.m, id)
-			victims = append(victims, pe)
-		}
-		seg.mu.Unlock()
+	mc.mu.Lock()
+	for id, pe := range mc.table {
+		delete(mc.table, id)
+		victims = append(victims, pe)
 	}
+	mc.mu.Unlock()
 
 	_ = mc.conn.Close()
 	mc.st.detach(mc)

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -120,7 +121,7 @@ func TestMuxStaleReplyDropped(t *testing.T) {
 }
 
 // TestMuxOutOfOrderCompletion pins pipelining itself: two invocations in
-// flight at once, replies written in reverse order, each caller receiving
+// flight at once, replies written in descending id order, each caller receiving
 // exactly its own payload — and the reorder counter advancing, the
 // observable proof the completions crossed.
 func TestMuxOutOfOrderCompletion(t *testing.T) {
@@ -131,8 +132,10 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 			order giop.ByteOrder
 			req   *giop.Request
 		}
-		// Collect both requests before answering either, then reply in
-		// reverse arrival order.
+		// Collect both requests before answering either, then reply to the
+		// higher request id first. The two callers race to the wire, so
+		// arrival order says nothing about id order; answering by id is
+		// what makes the completions cross.
 		var batch []pend
 		for len(batch) < 2 {
 			order, req := readRequest(t, conn)
@@ -141,8 +144,11 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 			}
 			batch = append(batch, pend{order, req})
 		}
-		for i := len(batch) - 1; i >= 0; i-- {
-			writeEcho(t, conn, batch[i].order, batch[i].req.RequestID, batch[i].req.Payload)
+		if batch[0].req.RequestID < batch[1].req.RequestID {
+			batch[0], batch[1] = batch[1], batch[0]
+		}
+		for _, p := range batch {
+			writeEcho(t, conn, p.order, p.req.RequestID, p.req.Payload)
 		}
 	})
 	cl := dial(t, net, rs.addr, ClientConfig{})
@@ -331,6 +337,65 @@ func TestMuxRemoteProxyConcurrentSends(t *testing.T) {
 	for k, n := range seen {
 		if n != 1 {
 			t.Errorf("message %q delivered %d times", k, n)
+		}
+	}
+}
+
+// TestShardSubmissionOrderPerBand pins the per-connection ordering
+// contract of the server's dispatch: the reader hands one connection's
+// requests to the RequestProcessing port in arrival order, so a single
+// submitter's requests are processed in submission order within each
+// priority band. Two bands are interleaved; each band's sequence numbers
+// must arrive strictly increasing.
+func TestShardSubmissionOrderPerBand(t *testing.T) {
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{
+		// Inline dispatch on the reader goroutine: any cross-request reorder
+		// would be the dispatch path's fault, not a worker pool's.
+		Synchronous: true,
+	})
+
+	var mu sync.Mutex
+	arrivals := map[sched.Priority][]uint64{}
+	srv.RegisterServant("order", corba.ServantFunc(func(op string, payload []byte) ([]byte, error) {
+		seq := binary.BigEndian.Uint64(payload[:8])
+		prio := sched.Priority(payload[8])
+		mu.Lock()
+		arrivals[prio] = append(arrivals[prio], seq)
+		mu.Unlock()
+		return nil, nil
+	}))
+
+	cl := dial(t, net, srv.Addr(), ClientConfig{Synchronous: true})
+
+	const perBand = 40
+	bands := []sched.Priority{sched.NormPriority, sched.MaxPriority - 1}
+	var payload [9]byte
+	for seq := 0; seq < perBand; seq++ {
+		for _, prio := range bands {
+			binary.BigEndian.PutUint64(payload[:8], uint64(seq))
+			payload[8] = byte(prio)
+			// Two-way invokes from one goroutine: each submission is
+			// acknowledged before the next, so arrival order at the servant
+			// is the submission order — unless dispatch scrambled the
+			// connection's stream.
+			if _, err := cl.Invoke("order", "mark", payload[:], prio); err != nil {
+				t.Fatalf("seq %d prio %d: %v", seq, prio, err)
+			}
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, prio := range bands {
+		got := arrivals[prio]
+		if len(got) != perBand {
+			t.Fatalf("band %d: %d arrivals, want %d", prio, len(got), perBand)
+		}
+		for i, seq := range got {
+			if seq != uint64(i) {
+				t.Fatalf("band %d: arrival %d has seq %d; dispatch reordered the connection", prio, i, seq)
+			}
 		}
 	}
 }

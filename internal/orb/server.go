@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,21 +42,6 @@ type ServerConfig struct {
 	// many servant invocations in flight; replies go out in completion
 	// order, not arrival order. Zero selects DefaultConcurrency.
 	Concurrency int
-	// Coalesce opts reply writes into adaptive write coalescing
-	// (coalesce.go): replies completing close together flush as one
-	// vectored write per connection. Nil disables coalescing; SendWidth is
-	// ignored (reply concurrency is Concurrency).
-	Coalesce *CoalesceConfig
-	// Shards moves request demultiplexing off the per-connection reader
-	// goroutines onto a fixed pool of dispatch shards: each connection is
-	// hashed to one shard at accept time (so per-connection FIFO order is
-	// preserved) and its reader only frames bytes, handing whole frames to
-	// the shard for priority peeking and port dispatch. This removes the
-	// one-goroutine-per-connection dispatch ceiling when many connections
-	// multiplex onto few cores. Zero keeps dispatch inline on the reader
-	// (the pre-shard behaviour); AutoShards sizes the pool to GOMAXPROCS;
-	// explicit positive values are honoured as given (tests pin 1/2/8).
-	Shards int
 	// Overload opts the server into closed-loop overload control (see
 	// internal/overload): every request is classified by its tenant service
 	// context and admitted, credited, or shed before demarshalling; admitted
@@ -71,31 +55,6 @@ type ServerConfig struct {
 	// dequeue (counted as deadline_shed_total, answered with a shed reply)
 	// instead of executing late. Zero stamps no deadline.
 	RequestDeadline time.Duration
-}
-
-// AutoShards selects a GOMAXPROCS-bounded shard count for
-// ServerConfig.Shards and ClientConfig.ReactorShards.
-const AutoShards = -1
-
-// maxShards bounds explicit shard counts.
-const maxShards = 64
-
-// resolveShards maps a Shards knob to a concrete count: 0 stays 0 (inline),
-// AutoShards becomes GOMAXPROCS, and anything else clamps to [1, maxShards].
-func resolveShards(n int) int {
-	if n == 0 {
-		return 0
-	}
-	if n == AutoShards {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return n
 }
 
 // DefaultConcurrency is the per-connection request-processing width used
@@ -146,63 +105,24 @@ type Server struct {
 	rpSize      int64
 	repPool     *memory.ScopePool
 	concurrency int
-	coalesce    *CoalesceConfig // nil unless ServerConfig.Coalesce was set
 
 	// ctrl is the overload controller (nil = uncontrolled); reqDeadline the
 	// queueing deadline stamped on admitted requests when ctrl is set.
 	ctrl        *overload.Controller
 	reqDeadline time.Duration
-
-	// shards is the dispatch pool (empty = inline dispatch on the reader);
-	// shardWg tracks its goroutines and gauges their telemetry handles.
-	shards  []*dispatchShard
-	shardWg sync.WaitGroup
-	gauges  []*telemetry.GaugeHandle
-}
-
-// dispatchShard is one dispatch lane: connections hashed to it enqueue
-// framed requests on ch; its goroutine runs the GetMessage → priority peek →
-// port Send sequence that the reader loop would otherwise run inline. The
-// channel is bounded, so a shard that falls behind parks its readers — the
-// same wire-level backpressure the inline path gets from OverflowBlock.
-type dispatchShard struct {
-	ch         chan inbound
-	dispatched atomic.Int64
-}
-
-// inbound is one framed request travelling reader → shard. The frame
-// reference travels with it: the shard's dispatch either hands it to a
-// pooled message (released on recycle) or releases it on a failed dispatch.
-type inbound struct {
-	sc   *serverConn
-	toRP *core.OutPort
-	h    giop.Header
-	fb   *giop.FrameBuf
 }
 
 // serverConn is the per-connection state owned by a Transport instance.
 type serverConn struct {
 	conn transport.Conn
-	wmu  sync.Mutex // serialises reply writes (uncoalesced path)
-	co   *coalescer // nil unless ServerConfig.Coalesce was set
-	// shard is the dispatch shard this connection hashed to at accept time
-	// (nil = inline dispatch). Fixed per connection, so one connection's
-	// requests dispatch in arrival order regardless of shard count.
-	shard *dispatchShard
+	co   *coalescer // serialises reply writes
 }
 
-// write sends one framed message: through the reply coalescer when
-// configured (blocking until a vectored flush covers the frame — the reply
-// buffer lives in a pooled request scope reclaimed when the handler
-// returns), else directly under the write lock.
+// write sends one framed message through the reply coalescer, blocking
+// until a flush covers the frame — the reply buffer lives in a pooled
+// request scope reclaimed when the handler returns.
 func (sc *serverConn) write(b []byte) error {
-	if sc.co != nil {
-		err, _ := sc.co.write(b)
-		return err
-	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	_, err := sc.conn.Write(b)
+	err, _ := sc.co.write(b)
 	return err
 }
 
@@ -271,25 +191,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Synchronous {
 		srv.threading = core.ThreadingSynchronous
 	}
-	if cfg.Coalesce != nil {
-		co := cfg.Coalesce.withDefaults()
-		srv.coalesce = &co
-	}
-	if n := resolveShards(cfg.Shards); n > 0 {
-		for i := 0; i < n; i++ {
-			sh := &dispatchShard{ch: make(chan inbound, 2*concurrency)}
-			srv.shards = append(srv.shards, sh)
-			srv.shardWg.Add(1)
-			go srv.shardLoop(sh)
-			srv.gauges = append(srv.gauges, telemetry.Default.RegisterGauge(
-				"shard_dispatched", fmt.Sprintf("orb.server.shard%d", i),
-				func() int64 { return sh.dispatched.Load() }))
-		}
-	}
 
 	ln, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
@@ -308,13 +212,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	})
 	if err != nil {
 		ln.Close()
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
 	if err := app.Start(); err != nil {
 		ln.Close()
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
@@ -323,7 +225,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	h, err := app.Component("ORB").SMM().Connect("POA")
 	if err != nil {
 		ln.Close()
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
@@ -532,15 +433,7 @@ func (s *Server) acceptLoop() {
 // child of the POA) and pins it open for the connection's lifetime.
 func (s *Server) addConnection(conn transport.Conn) error {
 	seq := s.connSeq.Add(1)
-	sc := &serverConn{conn: conn}
-	if s.coalesce != nil {
-		sc.co = newCoalescer(conn, *s.coalesce, nil)
-	}
-	if n := len(s.shards); n > 0 {
-		// Fixed connection→shard assignment: one connection's requests all
-		// dispatch through one lane, preserving their arrival order.
-		sc.shard = s.shards[int((seq-1)%uint64(n))]
-	}
+	sc := &serverConn{conn: conn, co: newCoalescer(conn, maxBatchFrames, maxBatchBytes, nil)}
 	s.mu.Lock()
 	s.conns = append(s.conns, sc)
 	s.mu.Unlock()
@@ -631,10 +524,9 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 // aliases the frame, and the frame reference is released when the pooled
 // message is recycled after its handler returns. Requests dispatch
 // concurrently (up to the configured Concurrency) and each reply goes out
-// under the connection's write lock as its servant finishes — out of order
-// when completions cross — while the demultiplexing client matches them
-// back to callers by request id. With shards configured, the reader only
-// frames bytes; the connection's dispatch shard runs the peek-and-send.
+// through the connection's write coalescer as its servant finishes — out of
+// order when completions cross — while the demultiplexing client matches
+// them back to callers by request id.
 func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 	fr := giop.NewFrameReader(sc.conn, uint32(s.maxMsg))
 	defer fr.Close()
@@ -653,15 +545,6 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 		}
 		switch h.Type {
 		case giop.MsgRequest:
-			if sc.shard != nil {
-				// Hand the frame (and its reference) to the connection's
-				// dispatch lane. The bounded channel is the backpressure:
-				// a full lane parks this reader, which stops reading the
-				// socket. Shard channels outlive every reader (Close drains
-				// them only after the readers exit), so the send is safe.
-				sc.shard.ch <- inbound{sc: sc, toRP: toRP, h: h, fb: fb}
-				continue
-			}
 			if !s.dispatch(sc, toRP, h, fb) {
 				sc.conn.Close()
 				return
@@ -698,34 +581,6 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 		default:
 			// Ignore other message types.
 			fb.Release()
-		}
-	}
-}
-
-// stopShards closes the dispatch lanes, waits the shard goroutines out, and
-// unregisters their gauges. Callers must guarantee no reader can still send
-// into a lane (no readers were ever started, or wg.Wait has returned).
-func (s *Server) stopShards() {
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
-	s.shardWg.Wait()
-	for _, g := range s.gauges {
-		g.Unregister()
-	}
-	s.shards, s.gauges = nil, nil
-}
-
-// shardLoop drains one dispatch lane until Close closes its channel (after
-// every reader goroutine has exited). A failed dispatch closes the offending
-// connection but keeps the lane serving its other connections.
-func (s *Server) shardLoop(sh *dispatchShard) {
-	defer s.shardWg.Done()
-	for in := range sh.ch {
-		if s.dispatch(in.sc, in.toRP, in.h, in.fb) {
-			sh.dispatched.Add(1)
-		} else {
-			in.sc.conn.Close()
 		}
 	}
 }
@@ -971,11 +826,6 @@ func (s *Server) Close() {
 		_ = sc.conn.Close()
 	}
 	s.wg.Wait()
-	// Readers are gone: no more sends into the dispatch lanes. Close them
-	// and let the shards drain what is queued (each queued frame is either
-	// dispatched — its reply write fails on the closed socket — or released
-	// by a failed dispatch) before the component application stops.
-	s.stopShards()
 	for i := len(handles) - 1; i >= 0; i-- {
 		handles[i].Disconnect()
 	}

@@ -115,12 +115,8 @@ func TestStripeFailoverIsolated(t *testing.T) {
 // must match its request and the pending tables must drain.
 func TestStripedStorm(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{
-		Concurrency: 16, Coalesce: &CoalesceConfig{},
-	})
-	cl := dial(t, net, srv.Addr(), ClientConfig{
-		Channels: 4, PipelineDepth: 64, Coalesce: &CoalesceConfig{},
-	})
+	srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 16})
+	cl := dial(t, net, srv.Addr(), ClientConfig{Channels: 4, PipelineDepth: 64})
 
 	const workers, rounds = 64, 20
 	var wg sync.WaitGroup
