@@ -28,7 +28,8 @@ type ClusterConfig struct {
 	// NodeAddr names the listen address of one replica process; nil lets
 	// the network auto-assign (each replica must get a distinct address).
 	NodeAddr func(node string, replica int) string
-	// ScopePoolCount tunes every endpoint's request scopes.
+	// ScopePoolCount is how many request scopes every endpoint pre-creates
+	// (see Config.ScopePoolCount); zero pre-creates one per pool.
 	ScopePoolCount int
 }
 

@@ -34,7 +34,9 @@ type Config struct {
 	// ListenAddr is where the ORB server binds when the plan exports
 	// ports (for TCP, ":0" picks an ephemeral port).
 	ListenAddr string
-	// ScopePoolCount tunes the ORB endpoints' request scopes.
+	// ScopePoolCount is how many request scopes each ORB endpoint
+	// pre-creates. The endpoints always pool their request scopes; zero
+	// pre-creates one and lets each pool grow on demand.
 	ScopePoolCount int
 }
 

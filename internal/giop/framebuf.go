@@ -84,9 +84,9 @@ func frameClassFor(n int) int {
 }
 
 // frameClassCap rounds n up to its size class capacity (or returns n for
-// oversized requests). ReadMessageLimited uses it so a scratch buffer grown
-// for one frame is reused by every later frame of the same class instead of
-// reallocating per message.
+// oversized requests). ReadMessageLimited and FrameReader.Next use it so a
+// scratch buffer grown for one frame is reused by every later frame of the
+// same class instead of reallocating per message.
 func frameClassCap(n int) int {
 	if c := frameClassFor(n); c >= 0 {
 		return frameClassSizes[c]

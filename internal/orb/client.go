@@ -47,9 +47,10 @@ type ClientConfig struct {
 	Order giop.ByteOrder
 	// MaxMessage bounds a reply body; zero selects DefaultMaxMessage.
 	MaxMessage int
-	// ScopePoolCount pre-creates that many MessageProcessing scopes
-	// (paper's scope-pool optimisation); zero creates fresh scopes per
-	// instantiation.
+	// ScopePoolCount is how many MessageProcessing scopes to pre-create.
+	// Request scopes always come from a growable pool (the paper's scope
+	// pool optimisation); zero pre-creates one and lets the pool grow to its
+	// steady-state size on demand.
 	ScopePoolCount int
 	// Synchronous dispatches the component ports on the calling thread
 	// instead of port thread pools.
@@ -201,10 +202,10 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		// not the configured depth — becomes the effective ceiling.
 		appCfg.MsgPoolCapacity = need
 	}
-	if cfg.ScopePoolCount > 0 {
-		appCfg.ScopePools = []core.ScopePoolSpec{
-			{Level: 2, AreaSize: mpSize, Count: cfg.ScopePoolCount, Grow: true},
-		}
+	appCfg.ScopePools = []core.ScopePoolSpec{
+		// Level 2 holds the MessageProcessing scopes (ORB is level 0,
+		// Transport 1).
+		{Level: 2, AreaSize: mpSize, Count: max(cfg.ScopePoolCount, 1), Grow: true},
 	}
 	app, err := core.NewApp(appCfg)
 	if err != nil {
@@ -294,7 +295,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 			Name:       "Transport",
 			MemorySize: transportSize,
 			Persistent: true,
-			Setup:      cl.transportSetup(threading, mpSize, cfg.ScopePoolCount > 0, depth),
+			Setup:      cl.transportSetup(threading, depth),
 		})
 	})
 	if err != nil {
@@ -321,7 +322,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 // the Out port feeding MessageProcessing, the per-request child definition,
 // and the start function that dials every stripe's connection and launches
 // its reactor.
-func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool bool, depth int) func(*core.Component) error {
+func (cl *Client) transportSetup(threading core.Threading, depth int) func(*core.Component) error {
 	return func(tc *core.Component) error {
 		orbSMM := tc.Parent().SMM()
 		tSMM := tc.SMM()
@@ -359,9 +360,8 @@ func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool
 		}
 
 		if err := tc.DefineChild(core.ChildDef{
-			Name:       "MessageProcessing",
-			MemorySize: mpSize,
-			UsePool:    usePool,
+			Name:    "MessageProcessing",
+			UsePool: true,
 			// Setup is pure declaration (one In port on the parent's SMM), so
 			// the shell survives quiescence and only the area cycles per
 			// request.

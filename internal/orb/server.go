@@ -29,8 +29,10 @@ type ServerConfig struct {
 	Addr    string
 	// MaxMessage bounds a request body; zero selects DefaultMaxMessage.
 	MaxMessage int
-	// ScopePoolCount pre-creates that many RequestProcessing scopes; zero
-	// creates fresh scopes per instantiation.
+	// ScopePoolCount is how many RequestProcessing scopes to pre-create.
+	// Request scopes always come from a growable pool (the paper's scope
+	// pool optimisation); zero pre-creates one and lets the pool grow to its
+	// steady-state size on demand.
 	ScopePoolCount int
 	// Synchronous dispatches ports on the reading thread instead of port
 	// thread pools.
@@ -101,8 +103,6 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	threading   core.Threading
-	usePool     bool
-	rpSize      int64
 	repPool     *memory.ScopePool
 	concurrency int
 
@@ -151,12 +151,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// that or the reader loop sheds connections under pipelined load.
 		appCfg.MsgPoolCapacity = need
 	}
-	if cfg.ScopePoolCount > 0 {
-		appCfg.ScopePools = []core.ScopePoolSpec{
-			// Level 3 holds the RequestProcessing scopes (ORB is level 0,
-			// POA 1, Transport 2).
-			{Level: 3, AreaSize: rpSize, Count: cfg.ScopePoolCount, Grow: true},
-		}
+	appCfg.ScopePools = []core.ScopePoolSpec{
+		// Level 3 holds the RequestProcessing scopes (ORB is level 0, POA 1,
+		// Transport 2).
+		{Level: 3, AreaSize: rpSize, Count: max(cfg.ScopePoolCount, 1), Grow: true},
 	}
 	app, err := core.NewApp(appCfg)
 	if err != nil {
@@ -181,8 +179,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		app:         app,
 		maxMsg:      maxMsg,
 		threading:   core.ThreadingShared,
-		usePool:     cfg.ScopePoolCount > 0,
-		rpSize:      rpSize,
 		repPool:     repPool,
 		concurrency: concurrency,
 		ctrl:        cfg.Overload,
@@ -474,9 +470,8 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 			toRP.SetSendDeadline(s.reqDeadline)
 		}
 		if err := tc.DefineChild(core.ChildDef{
-			Name:       "RequestProcessing",
-			MemorySize: s.rpSize,
-			UsePool:    s.usePool,
+			Name:    "RequestProcessing",
+			UsePool: true,
 			// Pure-declaration Setup: the shell is revived across requests,
 			// only the scoped area cycles.
 			Reusable: true,

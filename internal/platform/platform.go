@@ -120,18 +120,25 @@ func (i *Injector) Model() Model { return i.model }
 func (i *Injector) Stats() (preempts, gcPauses int64) { return i.preempts, i.gcPauses }
 
 // Operation injects the model's noise for one operation: base scheduling
-// jitter always, plus a preemption or GC pause when due.
-func (i *Injector) Operation() {
+// jitter always, plus a preemption or GC pause when due. It returns the
+// modelled delay it injected — the seeded figure, free of the host's own
+// scheduling noise — which callers timing the operation may ignore.
+func (i *Injector) Operation() time.Duration {
 	m := i.model
+	var d time.Duration
 	if m.BaseJitterMax > 0 {
-		spin(time.Duration(i.rng.Int63n(int64(m.BaseJitterMax) + 1)))
+		j := time.Duration(i.rng.Int63n(int64(m.BaseJitterMax) + 1))
+		spin(j)
+		d += j
 	}
 	if m.PreemptEvery > 0 {
 		i.untilPreempt--
 		if i.untilPreempt <= 0 {
 			i.untilPreempt = i.nextEvent(m.PreemptEvery)
 			i.preempts++
-			spin(i.uniform(m.PreemptMin, m.PreemptMax))
+			p := i.uniform(m.PreemptMin, m.PreemptMax)
+			spin(p)
+			d += p
 		}
 	}
 	if m.GCEvery > 0 {
@@ -139,9 +146,12 @@ func (i *Injector) Operation() {
 		if i.untilGC <= 0 {
 			i.untilGC = i.nextEvent(m.GCEvery)
 			i.gcPauses++
-			pause(i.uniform(m.GCMin, m.GCMax))
+			g := i.uniform(m.GCMin, m.GCMax)
+			pause(g)
+			d += g
 		}
 	}
+	return d
 }
 
 // nextEvent draws a geometric-ish gap with the given mean (at least 1).
