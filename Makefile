@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
+.PHONY: all build vet test race soak bench-smoke verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
 
 all: build
 
@@ -18,6 +18,18 @@ test:
 # sharded counters, and port/pool gauges are all exercised concurrently).
 race: build vet
 	$(GO) test -race ./...
+
+# soak repeats the child-lifecycle tests until a rare interleaving would
+# show: the core suite 50 times on two cores, then the route-rebuild,
+# Reusable-revival, swap, rewire and drain tests (and the ORB's steady-state
+# memory test, whose scopes revive on every call) 10 times under the race
+# detector on one core and on two.
+soak:
+	GOMAXPROCS=2 $(GO) test -count=50 ./internal/core/
+	GOMAXPROCS=1 $(GO) test -race -count=10 -run '$(SOAK_RUN)' ./internal/core/ ./internal/orb/
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run '$(SOAK_RUN)' ./internal/core/ ./internal/orb/
+
+SOAK_RUN = RouteRebuild|Reusable|Swap|Rewire|Drain|SteadyStateMemory
 
 # allocguard compares the steady-state round trip's allocation profile with
 # telemetry recording on and off, plus the collocated ORB invocation

@@ -28,15 +28,17 @@ type ChildDef struct {
 	// Persistent keeps the instance alive at quiescence; it is reclaimed
 	// only by Handle.Disconnect or App.Stop.
 	Persistent bool
-	// Reusable lets the SMM cache the component shell at quiescence and
-	// revive it on the next instantiation instead of rebuilding it. The
-	// memory semantics are unchanged — the scoped area is still reclaimed at
-	// quiescence and a fresh one acquired, charged, and pinned on revival,
-	// and the start function re-runs — but Setup runs only on the shell's
-	// first construction: its port registrations and bindings survive
-	// because the very same shell returns. Only set this for children whose
-	// Setup is pure declaration (ports, handlers, start function) with no
-	// per-instance side effects outside the component's area.
+	// Reusable keeps the component shell in the SMM's child table at
+	// quiescence, dormant, and revives it in place on the next delivery or
+	// Connect instead of rebuilding it. The memory semantics are unchanged —
+	// the scoped area is still reclaimed at quiescence and a fresh one
+	// acquired, charged, and pinned on revival, and the start function
+	// re-runs — but Setup runs only when the shell is built from scratch:
+	// its port registrations and bindings survive because the very same
+	// shell returns. A shell that SMM.Swap took out of the table is never
+	// revived. Only set this for children whose Setup is pure declaration
+	// (ports, handlers, start function) with no per-instance side effects
+	// outside the component's area.
 	Reusable bool
 	// Setup declares the child's ports, nested child definitions, and start
 	// function. It runs on every instantiation.
@@ -56,9 +58,6 @@ type Component struct {
 	level  int           // 0 for immortal components
 	mgr    *SMM          // the SMM that instantiated this component (nil for top-level)
 	def    *ChildDef     // blueprint this instance came from (nil for top-level)
-	// incarnation numbers a Reusable instance among its SMM's from-scratch
-	// builds of the same child (see SMM.incarnations).
-	incarnation uint64
 
 	// started flips once the instance's start function has run (child
 	// instances only). Message dispatch checks it — one atomic load on the
@@ -80,17 +79,18 @@ type Component struct {
 	chain     []*memory.Area
 
 	// Liveness accounting. liveMu is the innermost lock: it is taken with
-	// an SMM lock held but never the other way around.
+	// an SMM lock held but never the other way around. disposed flips only
+	// inside the managing SMM's mu (see SMM.dispose and SMM.revive), so the
+	// SMM's child table and the flag never disagree under that lock.
+	// disposeWait is created lazily, under liveMu, only by a Swap waiting
+	// for the instance to drain; it is closed when disposed flips.
 	liveMu       sync.Mutex
 	pending      int // in-flight messages targeted at this component
 	handles      int // live Connect handles
 	liveChildren int // instantiated, not-yet-disposed children
 	autoDispose  bool
 	disposed     bool
-	// retired marks an instance swapped out by SMM.Swap: it must be
-	// reclaimed at quiescence like any disconnect, but its shell must never
-	// be stashed for revival — the blueprint it came from has been replaced.
-	retired bool
+	disposeWait  chan struct{}
 }
 
 // Name returns the component's instance name.
@@ -270,18 +270,6 @@ func (c *Component) childDef(name string) *ChildDef {
 	return c.childDefs[name]
 }
 
-// addPending registers an in-flight message targeted at this component,
-// failing if the instance has already been disposed.
-func (c *Component) addPending() bool {
-	c.liveMu.Lock()
-	defer c.liveMu.Unlock()
-	if c.disposed {
-		return false
-	}
-	c.pending++
-	return true
-}
-
 // donePending retires one in-flight message.
 func (c *Component) donePending() {
 	c.liveMu.Lock()
@@ -289,15 +277,26 @@ func (c *Component) donePending() {
 	c.liveMu.Unlock()
 }
 
-// addHandle registers a Connect handle, failing on a disposed instance.
-func (c *Component) addHandle() bool {
+// reserve takes one reservation on the instance — a Connect handle when
+// handle is set, a pending delivery otherwise — failing on a disposed
+// instance. A reservation holds off quiescence until it is released.
+func (c *Component) reserve(handle bool) bool {
 	c.liveMu.Lock()
 	defer c.liveMu.Unlock()
 	if c.disposed {
 		return false
 	}
-	c.handles++
+	c.reserveLocked(handle)
 	return true
+}
+
+// reserveLocked takes a reservation; liveMu is held.
+func (c *Component) reserveLocked(handle bool) {
+	if handle {
+		c.handles++
+	} else {
+		c.pending++
+	}
 }
 
 // childGone retires one live child.
@@ -317,32 +316,19 @@ func (c *Component) childBorn() {
 // maybeQuiesce disposes the instance if it is transient and fully
 // quiescent, then propagates the check to the parent. It is the runtime
 // behaviour behind the paper's "after the messages are processed by the
-// component, the scoped memory objects are reclaimed".
+// component, the scoped memory objects are reclaimed". The idle check runs
+// first under liveMu alone, so a busy or persistent instance never touches
+// the SMM lock; the SMM re-checks it under its own lock before disposing.
 func (c *Component) maybeQuiesce() {
-	if c.mgr == nil {
+	s := c.mgr
+	if s == nil {
 		return
 	}
 	c.liveMu.Lock()
-	if c.disposed || !c.autoDispose || c.pending > 0 || c.handles > 0 || c.liveChildren > 0 {
-		c.liveMu.Unlock()
-		return
-	}
-	c.disposed = true
-	retired := c.retired
+	idle := c.idleLocked()
 	c.liveMu.Unlock()
-
-	if c.def != nil && c.def.Reusable && !retired {
-		// Keep the port bindings: the same shell comes back on revival, so a
-		// binding that still names it is merely dormant — addPending rejects
-		// deliveries while the shell is disposed, and the resolveIn fallback
-		// re-instantiates. The shell is stashed only after teardown so a
-		// concurrent revival can never race the wedge release.
-		c.mgr.forget(c)
-		c.teardown()
-		c.mgr.stashShell(c)
-	} else {
-		c.mgr.detach(c)
-		c.teardown()
+	if !idle || !s.dispose(c, false) {
+		return
 	}
 	if p := c.parent; p != nil {
 		p.childGone()
@@ -350,28 +336,36 @@ func (c *Component) maybeQuiesce() {
 	}
 }
 
-// retire marks the instance for reclamation at quiescence (like an explicit
-// Disconnect) and bars its shell from being stashed for revival: a
-// swapped-out version must never come back under the new blueprint.
-func (c *Component) retire() {
-	c.liveMu.Lock()
-	c.autoDispose = true
-	c.retired = true
-	c.liveMu.Unlock()
+// idleLocked reports whether the instance may be reclaimed at quiescence:
+// transient, not yet disposed, and holding no deliveries, handles or live
+// children. liveMu is held.
+func (c *Component) idleLocked() bool {
+	return !c.disposed && c.autoDispose && c.pending == 0 && c.handles == 0 && c.liveChildren == 0
 }
 
 // awaitDisposed waits — bounded by timeout — for the instance to be
-// reclaimed, reporting whether it was. The 50µs poll keeps the reconfig
-// pause measurement fine-grained without touching the per-message paths.
+// reclaimed, reporting whether it was. The wait is on the disposal
+// transition itself: the channel is created only here, under liveMu, and
+// closed by SMM.dispose when disposed flips.
 func (c *Component) awaitDisposed(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for !c.Disposed() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(50 * time.Microsecond)
+	c.liveMu.Lock()
+	if c.disposed {
+		c.liveMu.Unlock()
+		return true
 	}
-	return true
+	if c.disposeWait == nil {
+		c.disposeWait = make(chan struct{})
+	}
+	ch := c.disposeWait
+	c.liveMu.Unlock()
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // busy reports in-flight work anywhere in the component's subtree: pending
@@ -388,40 +382,23 @@ func (c *Component) busy() bool {
 	return smm != nil && smm.busy()
 }
 
-// forceDispose reclaims the instance regardless of quiescence (Stop path;
-// pools must already be drained).
+// forceDispose reclaims the instance regardless of quiescence (Stop path and
+// failed start; pools must already be drained).
 func (c *Component) forceDispose() {
-	c.liveMu.Lock()
-	if c.disposed {
-		c.liveMu.Unlock()
-		return
-	}
-	c.disposed = true
-	c.liveMu.Unlock()
-
-	if c.mgr != nil {
-		c.mgr.detach(c)
-	}
-	c.teardown()
-	if p := c.parent; p != nil {
-		p.childGone()
+	if c.mgr.dispose(c, true) {
+		c.parent.childGone()
 	}
 }
 
-// teardown shuts the component's own SMM down and releases its area. Most
-// transient instances never created an SMM of their own (their ports live on
-// the parent's), so the common path is one lock cycle and the wedge release.
-func (c *Component) teardown() {
-	c.app.mu.Lock()
-	smm := c.smm
-	c.app.mu.Unlock()
-	if smm != nil {
-		smm.shutdown()
-		c.app.mu.Lock()
-		c.smm = nil
-		c.app.mu.Unlock()
+// teardown shuts an instance's own SMM down and releases its area wedge,
+// both taken out of the instance by SMM.dispose. Most transient instances
+// never created an SMM of their own (their ports live on the parent's), so
+// the common path is the wedge release alone.
+func teardown(own *SMM, wedge *memory.Wedge) {
+	if own != nil {
+		own.shutdown()
 	}
-	if c.wedge != nil {
-		c.wedge.Release()
+	if wedge != nil {
+		wedge.Release()
 	}
 }

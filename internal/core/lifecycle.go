@@ -12,16 +12,17 @@ package core
 // reclaims transient children:
 //
 //  1. The blueprint flips under instMu, so deliveries that miss a binding
-//     park inside materialize until the swap commits — a bounded sender
+//     park inside acquire until the swap commits — a bounded sender
 //     pause, never a drop.
-//  2. The outgoing instance is retired (autoDispose, revival barred) and
-//     detached: its port bindings lose their owner but keep their handler,
-//     so deliveries already buffered drain against the old version while
-//     nothing new can reserve it.
-//  3. The swap waits — bounded — for the instance to dispose at quiescence
-//     (pending == 0, handles == 0), then one routeGen bump republishes every
-//     cached route. The next delivery instantiates the new version through
-//     the ordinary resolveIn slow path.
+//  2. The outgoing instance is marked for reclamation (autoDispose) and
+//     taken out of the children table in one mu critical section: its port
+//     bindings lose their owner but keep their handler, so deliveries
+//     already buffered drain against the old version while nothing new can
+//     reserve it. Out of the table, it is never revived, even if Reusable.
+//  3. The swap waits — bounded — on the instance's disposal transition at
+//     quiescence (pending == 0, handles == 0), then one routeGen bump
+//     republishes every cached route. The next delivery instantiates the
+//     new version through the ordinary resolveIn slow path.
 
 import (
 	"errors"
@@ -180,7 +181,7 @@ type SwapStats struct {
 	ReplacedLive bool
 	// Drained is false when the outgoing instance did not quiesce within
 	// the drain timeout. The swap is still committed — the old instance is
-	// retired and reclaims itself at quiescence — but the pause bound was
+	// out of the table and reclaims itself at quiescence — but the pause bound was
 	// exceeded, and Swap reports ErrDrainTimeout alongside these stats.
 	Drained bool
 }
@@ -214,8 +215,8 @@ func (s *SMM) Swap(def ChildDef, opts SwapOptions) (SwapStats, error) {
 	start := telemetry.Now()
 
 	// instMu makes the blueprint flip atomic against instantiation: a
-	// delivery that finds no live binding parks in materialize until the
-	// swap commits, then instantiates the new version.
+	// delivery that finds no live binding parks in acquire until the swap
+	// commits, then instantiates the new version.
 	s.instMu.Lock()
 	defer s.instMu.Unlock()
 
@@ -230,19 +231,22 @@ func (s *SMM) Swap(def ChildDef, opts SwapOptions) (SwapStats, error) {
 	owner.childDefs[def.Name] = &d
 	app.mu.Unlock()
 
+	// Out of the table, the old instance — live or a dormant old-version
+	// shell — is never handed out or revived again; a live one is reclaimed
+	// at quiescence like any disconnect.
 	s.mu.Lock()
-	delete(s.shells, def.Name) // an old-version Reusable shell must not revive
 	old := s.children[def.Name]
+	if old != nil {
+		old.liveMu.Lock()
+		old.autoDispose = true
+		st.ReplacedLive = !old.disposed
+		old.liveMu.Unlock()
+		s.detachLocked(old)
+	}
 	s.mu.Unlock()
 
 	st.Drained = true
-	if old != nil {
-		st.ReplacedLive = true
-		// Retire before detach: once the binding is unbound nothing new can
-		// reserve the instance, and the retired flag keeps its quiescence
-		// from stashing an old-version shell.
-		old.retire()
-		s.detach(old)
+	if st.ReplacedLive {
 		// Already-quiet instances dispose here; busy ones at their final
 		// donePending. Buffered deliveries still dispatch on the old
 		// handler (unbind keeps it), so the drain completes old-version

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memory"
 	"repro/internal/sched"
 )
 
@@ -22,6 +23,9 @@ type reusableHarness struct {
 	shells   []*Component
 	areaName []string
 	served   chan int64
+	// gate, when set, holds the handler after it has recorded the serving
+	// instance until the channel is closed.
+	gate chan struct{}
 }
 
 func newReusableHarness(t *testing.T, app *App) *reusableHarness {
@@ -50,8 +54,12 @@ func newReusableHarness(t *testing.T, app *App) *reusableHarness {
 						h.mu.Lock()
 						h.shells = append(h.shells, p.Component())
 						h.areaName = append(h.areaName, p.Component().Area().Name())
+						gate := h.gate
 						h.mu.Unlock()
 						h.served <- m.(*intMsg).value
+						if gate != nil {
+							<-gate
+						}
 						return nil
 					}),
 				})
@@ -100,16 +108,39 @@ func (h *reusableHarness) send(t *testing.T, v int64) {
 	}
 }
 
-// waitGone blocks until the named child has quiesced out of the SMM.
-func waitGone(t *testing.T, smm *SMM, name string) {
+// waitFor polls cond until it holds, failing the test after 2 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for smm.Child(name) != nil {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("child %q not reclaimed", name)
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// dormantShell returns the SMM's table entry for name when it is a dormant
+// (disposed) Reusable shell, or nil.
+func dormantShell(smm *SMM, name string) *Component {
+	smm.mu.Lock()
+	defer smm.mu.Unlock()
+	if c := smm.children[name]; c != nil && c.Disposed() {
+		return c
+	}
+	return nil
+}
+
+// waitDormant blocks until the named Reusable child is a dormant shell in
+// the SMM's table and every area of the scope pool is back — the old
+// incarnation's teardown has finished — so the next send is a revival
+// drawing an area the pool already has.
+func waitDormant(t *testing.T, smm *SMM, name string, pool *memory.ScopePool) {
+	t.Helper()
+	waitFor(t, name+" dormant with its area released", func() bool {
+		created, _, free := pool.Stats()
+		return dormantShell(smm, name) != nil && int64(free) == created
+	})
 }
 
 // TestReusableChildRevivesShell drives several dispose/revive cycles through
@@ -133,7 +164,7 @@ func TestReusableChildRevivesShell(t *testing.T) {
 		}
 		// Each round must fully quiesce so the next send is a revival, not a
 		// delivery into the still-live instance.
-		waitGone(t, h.parent.SMM(), "Worker")
+		waitDormant(t, h.parent.SMM(), "Worker", app.ScopePool(1))
 	}
 
 	h.mu.Lock()
@@ -212,14 +243,14 @@ func TestReusableChildConcurrentStorm(t *testing.T) {
 	}
 }
 
-// TestReusableLateStashDoesNotRevive pins the stale-shell fence. A
-// quiescing Reusable instance A is forgotten before its shell is stashed;
-// a send landing in that window instantiates a fresh instance B, whose
-// Setup rebinds the ports to B. If A's stash then lands (here after B has
-// quiesced and stashed itself), reviving A would put A in the children
-// table while its ports still name the disposed B: every later send loses
-// the binding race forever. The test replays that interleaving by holding
-// A's shell back by hand, and demands that the next send is served.
+// TestReusableLateStashDoesNotRevive sends while a Reusable shell is still
+// tearing down. Its quiescence has been committed — the shell sits dormant
+// in the SMM's table — but the teardown of its old incarnation is held
+// back (the test holds the old incarnation's own SMM lock). The send must
+// revive that same shell in place rather than build a second instance:
+// the message is served, Setup ran once per from-scratch build (once), and
+// once the old teardown finishes the ports are bound to the table's
+// instance and every scoped area is back in the pool.
 func TestReusableLateStashDoesNotRevive(t *testing.T) {
 	app := newTestApp(t, AppConfig{
 		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 14, Count: 2}},
@@ -229,35 +260,169 @@ func TestReusableLateStashDoesNotRevive(t *testing.T) {
 		t.Fatal(err)
 	}
 	smm := h.parent.SMM()
+	pool := app.ScopePool(1)
 
-	// A serves one message and quiesces into the shell table.
+	// A serves message 1 and is held inside the handler.
+	gate := make(chan struct{})
+	h.mu.Lock()
+	h.gate = gate
+	h.mu.Unlock()
 	h.send(t, 1)
 	waitRecv(t, h.served)
-	waitGone(t, smm, "Worker")
-	a := smm.takeShell("Worker")
-	if a == nil {
-		t.Fatal("no shell stashed after quiescence")
+	h.mu.Lock()
+	a := h.shells[0]
+	h.gate = nil
+	h.mu.Unlock()
+
+	// The start function gave A its own SMM; holding that SMM's lock stalls
+	// A's teardown once its quiescence has been committed.
+	own := a.currentSMM()
+	if own == nil {
+		t.Fatal("worker has no SMM of its own")
 	}
-
-	// A's stash is "still pending": the next send instantiates B afresh.
-	h.send(t, 2)
-	waitRecv(t, h.served)
-	waitGone(t, smm, "Worker")
-
-	// A's late stash lands on top of B's.
-	smm.stashShell(a)
+	own.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			own.mu.Unlock()
+		}
+	}()
+	close(gate)
+	waitFor(t, "A dormant in the table", func() bool { return dormantShell(smm, "Worker") == a })
 
 	done := make(chan error, 1)
-	go func() { done <- h.sendErr(3) }()
+	go func() { done <- h.sendErr(2) }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("send wedged: a stale shell was revived under ports bound to another instance")
+		t.Fatal("send wedged behind a shell still tearing down")
 	}
+	if v := waitRecv(t, h.served); v != 2 {
+		t.Fatalf("served %d, want 2", v)
+	}
+	h.mu.Lock()
+	if h.shells[1] != a {
+		t.Error("message 2 was served by a new instance, not the revived shell")
+	}
+	if h.setups != 1 {
+		t.Errorf("Setup ran %d times, want 1 (one from-scratch build)", h.setups)
+	}
+	h.mu.Unlock()
+
+	held = false
+	own.mu.Unlock()
+	waitDormant(t, smm, "Worker", pool)
+
+	// The ports name the table's instance, and it serves the next message.
+	in, err := smm.GetInPort("Worker.in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner, _ := in.binding(); owner != dormantShell(smm, "Worker") {
+		t.Error("Worker.in is not bound to the table's instance")
+	}
+	h.send(t, 3)
 	if v := waitRecv(t, h.served); v != 3 {
 		t.Fatalf("served %d, want 3", v)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.shells[2] != a || h.setups != 1 {
+		t.Errorf("message 3: revived shell %v, setups %d; want the same shell and 1", h.shells[2] == a, h.setups)
+	}
+	if n, err := app.Errors(); n != 0 {
+		t.Errorf("handler errors: %d (%v)", n, err)
+	}
+}
+
+// TestChildTableNeverHoldsDisposedLive pins the child-table invariant: the
+// SMM never hands out, and never keeps in its table as live, an instance
+// whose disposed flag is set. The test holds the SMM's lock while the last
+// Connect handle is released from another goroutine: quiescence must not
+// be able to flip the instance to disposed behind the table's back, so
+// while the lock is held the table entry is still live.
+func TestChildTableNeverHoldsDisposedLive(t *testing.T) {
+	app := newTestApp(t, AppConfig{})
+	parent, err := app.NewImmortalComponent("P", func(c *Component) error {
+		smm := c.SMM()
+		return c.DefineChild(ChildDef{
+			Name: "C", MemorySize: 1 << 14,
+			Setup: func(w *Component) error {
+				_, err := AddInPort(w, smm, InPortConfig{
+					Name: "in", Type: intType,
+					Handler: HandlerFunc(func(*Proc, Message) error { return nil }),
+				})
+				return err
+			},
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	smm := parent.SMM()
+
+	h, err := smm.Connect("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.Component()
+
+	smm.mu.Lock()
+	released := make(chan struct{})
+	go func() {
+		h.Disconnect()
+		close(released)
+	}()
+	// Give the disconnect every chance to run its quiescence.
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); {
+		c.liveMu.Lock()
+		disposed := c.disposed
+		c.liveMu.Unlock()
+		if disposed {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	live := smm.children["C"]
+	liveDisposed := live != nil && live.Disposed()
+	smm.mu.Unlock()
+	<-released
+	if liveDisposed {
+		t.Fatal("the child table holds a disposed instance as live")
+	}
+	waitFor(t, "C reclaimed", func() bool { return smm.Child("C") == nil && c.Disposed() })
+
+	// Connects racing disconnects: every instance handed out is reserved
+	// and live, and no connect fails.
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				h, err := smm.Connect("C")
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if h.Component().Disposed() {
+					errCh <- errors.New("connect handed out a disposed instance")
+					return
+				}
+				h.Disconnect()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
 	}
 }

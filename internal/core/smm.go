@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -53,6 +52,13 @@ func (m Mechanism) String() string {
 // all charged to the parent's memory area; it maintains a proxy per child
 // definition and instantiates child components on demand.
 //
+// The children table is the single record of each child's lifecycle: an
+// entry is live (reservable) or, for a Reusable child, a dormant shell
+// awaiting revival in place. Every transition — build, revival, disposal,
+// swap-out — changes the table and the instance's disposed flag in one mu
+// critical section, so an instance the table names as live is never
+// disposed, and only reserved instances are ever handed out.
+//
 // The steady-state send path is lock-free with respect to the SMM: the
 // mechanism and stop flag are atomics, and each OutPort caches its resolved
 // destination In-ports (see routesFor), invalidated by a generation counter
@@ -69,18 +75,10 @@ type SMM struct {
 	mu       sync.Mutex
 	in       map[string]*InPort
 	out      map[string]*OutPort
-	children map[string]*Component
-	shells   map[string]*Component // disposed Reusable shells awaiting revival
+	children map[string]*Component // live instances and dormant Reusable shell entries
 	msgPools map[string]*msgPool
 	shared   *sched.Pool
 	pools    []*sched.Pool // all pools owned by this SMM, for shutdown
-
-	// incarnations counts, per child name, the Reusable instances built
-	// from scratch (Setup run, ports rebound to the new instance), guarded
-	// by mu. A shell whose incarnation is older was superseded while it was
-	// being torn down: its ports name another instance, so it must never
-	// revive.
-	incarnations map[string]uint64
 
 	mechanism atomic.Int32
 	stopped   atomic.Bool
@@ -166,11 +164,16 @@ func (s *SMM) GetInPort(name string) (*InPort, error) {
 	return found, nil
 }
 
-// Child returns the live instance of the named child, or nil.
+// Child returns the live instance of the named child, or nil (a dormant
+// Reusable shell is not live).
 func (s *SMM) Child(name string) *Component {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.children[name]
+	c := s.children[name]
+	if c == nil || c.Disposed() {
+		return nil
+	}
+	return c
 }
 
 // MsgPoolStats reports (capacity, in-flight, gets, returns) for the pool of
@@ -479,17 +482,11 @@ func (s *SMM) poolFor(typ MessageType) *msgPool {
 // keeps it alive until Disconnect — the paper's connect()/disconnect() with
 // a handle, implemented with a wedge on the child's scope.
 func (s *SMM) Connect(name string) (*Handle, error) {
-	for attempt := 0; attempt < 3; attempt++ {
-		child, err := s.materialize(name)
-		if err != nil {
-			return nil, err
-		}
-		if child.addHandle() {
-			return &Handle{smm: s, child: child}, nil
-		}
-		// The instance quiesced between materialize and addHandle; retry.
+	child, err := s.acquire(name, true)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: connect %q: instance kept quiescing", name)
+	return &Handle{smm: s, child: child}, nil
 }
 
 // Disconnect releases a handle obtained from Connect (paper-style spelling;
@@ -529,36 +526,44 @@ func (h *Handle) Disconnect() {
 	c.maybeQuiesce()
 }
 
-// materialize returns the live instance of the named child, instantiating
-// it if necessary. It never holds s.mu across user code.
-func (s *SMM) materialize(name string) (*Component, error) {
+// acquire returns the named child's instance holding one reservation — a
+// Connect handle when handle is set, a pending delivery otherwise — so it
+// cannot quiesce before the caller uses it. It is the §2.2 proxy check: a
+// live instance in the table is reserved, a dormant Reusable shell is
+// revived in place, and otherwise a new instance is built. Building and
+// reviving serialise on instMu; s.mu is never held across user code.
+func (s *SMM) acquire(name string, handle bool) (*Component, error) {
 	s.mu.Lock()
-	if c := s.children[name]; c != nil {
+	if c := s.children[name]; c != nil && c.reserve(handle) {
 		s.mu.Unlock()
 		return c, nil
-	}
-	if s.stopped.Load() {
-		s.mu.Unlock()
-		return nil, ErrStopped
 	}
 	s.mu.Unlock()
 
 	s.instMu.Lock()
-	// Double-check under instMu: another goroutine may have won.
+	// Re-check under instMu: another goroutine may have built or revived
+	// the child. Under instMu a disposed entry stays a dormant shell — only
+	// instMu holders revive or swap it out.
 	s.mu.Lock()
-	if c := s.children[name]; c != nil {
+	shell := s.children[name]
+	if shell != nil && shell.reserve(handle) {
 		s.mu.Unlock()
 		s.instMu.Unlock()
-		return c, nil
+		return shell, nil
 	}
+	stopped := s.stopped.Load()
 	s.mu.Unlock()
+	if stopped {
+		s.instMu.Unlock()
+		return nil, ErrStopped
+	}
 
 	def := s.owner.childDef(name)
 	if def == nil {
 		s.instMu.Unlock()
 		return nil, fmt.Errorf("%w: %q in %q", ErrUnknownChild, name, s.owner.name)
 	}
-	child, err := s.instantiate(def)
+	child, err := s.instantiate(def, shell, handle)
 	s.instMu.Unlock()
 	if err != nil {
 		return nil, err
@@ -576,11 +581,14 @@ func (s *SMM) materialize(name string) (*Component, error) {
 	return child, nil
 }
 
-// instantiate builds a child instance from its blueprint: acquire the
-// scoped area (from the level's pool when requested), pin it under the
-// owner's area, charge the component header, and run Setup. The caller
-// (materialize, holding instMu) runs the start function afterwards.
-func (s *SMM) instantiate(def *ChildDef) (*Component, error) {
+// instantiate brings a child instance up from its blueprint: acquire the
+// scoped area (from the level's pool when requested) and pin it under the
+// owner's area, then revive the dormant shell in place or build a new
+// instance (charge the component header, run Setup). The instance is
+// published in the children table already holding the caller's
+// reservation. The caller (acquire, holding instMu) runs the start
+// function afterwards.
+func (s *SMM) instantiate(def *ChildDef, shell *Component, handle bool) (*Component, error) {
 	app := s.owner.app
 	level := s.owner.level + 1
 
@@ -604,10 +612,8 @@ func (s *SMM) instantiate(def *ChildDef) (*Component, error) {
 		return nil, fmt.Errorf("child %q: %w", def.Name, err)
 	}
 
-	if def.Reusable {
-		if shell := s.takeShell(def.Name); shell != nil {
-			return s.revive(shell, def, area, wedge)
-		}
+	if shell != nil {
+		return s.revive(shell, area, wedge, handle)
 	}
 
 	child := &Component{
@@ -621,17 +627,6 @@ func (s *SMM) instantiate(def *ChildDef) (*Component, error) {
 		def:         def,
 		autoDispose: !def.Persistent,
 	}
-	if def.Reusable {
-		// Under instMu, like takeShell's check: no revival can interleave.
-		s.mu.Lock()
-		if s.incarnations == nil {
-			s.incarnations = make(map[string]uint64)
-		}
-		s.incarnations[def.Name]++
-		child.incarnation = s.incarnations[def.Name]
-		s.mu.Unlock()
-	}
-
 	fail := func(err error) (*Component, error) {
 		wedge.Release()
 		return nil, err
@@ -650,18 +645,23 @@ func (s *SMM) instantiate(def *ChildDef) (*Component, error) {
 
 	s.mu.Lock()
 	s.children[def.Name] = child
+	child.liveMu.Lock()
+	child.reserveLocked(handle)
+	child.liveMu.Unlock()
 	s.mu.Unlock()
 	return child, nil
 }
 
-// revive re-arms a stashed Reusable shell with a freshly acquired area
-// (already pinned by the caller): the chain's own-area slot is swapped, the
-// header is re-charged, and the shell is re-exposed. Exposure — the children
-// insert and the disposed flip — happens in a single s.mu critical section
-// so no reader can ever observe the shell in the table while still marked
-// disposed. started is cleared before exposure; the caller (materialize)
-// re-runs the start function and marks it. Runs under instMu.
-func (s *SMM) revive(c *Component, def *ChildDef, area *memory.Area, wedge *memory.Wedge) (*Component, error) {
+// revive re-arms a dormant Reusable shell in place with a freshly acquired
+// area (already pinned by the caller): the chain's own-area slot is
+// swapped, the header is re-charged, and the shell goes live — the disposed
+// flip and the caller's reservation in one s.mu critical section. Its port
+// bindings were kept while it was dormant, so they already name it. started
+// is cleared first; the caller (acquire) re-runs the start function and
+// marks it. The previous life's own SMM and wedge were taken out of the
+// shell when it was disposed, so their teardown may still be running. Runs
+// under instMu.
+func (s *SMM) revive(c *Component, area *memory.Area, wedge *memory.Wedge, handle bool) (*Component, error) {
 	c.area = area
 	c.wedge = wedge
 	if n := len(c.chain); n > 0 {
@@ -675,64 +675,69 @@ func (s *SMM) revive(c *Component, def *ChildDef, area *memory.Area, wedge *memo
 		_, aerr := ctx.Alloc(componentHeaderBytes)
 		return aerr
 	}); err != nil {
-		// The shell stays disposed and is dropped, not re-stashed: the next
-		// instantiation rebuilds from scratch.
+		// Drop the shell: the next instantiation builds from scratch.
+		c.wedge = nil
 		wedge.Release()
-		return nil, fmt.Errorf("child %q header: %w", def.Name, err)
+		s.mu.Lock()
+		s.detachLocked(c)
+		s.mu.Unlock()
+		return nil, fmt.Errorf("child %q header: %w", c.name, err)
 	}
 	s.owner.childBorn()
 
 	s.mu.Lock()
-	s.children[def.Name] = c
 	c.liveMu.Lock()
 	c.disposed = false
+	c.autoDispose = !c.def.Persistent
+	c.reserveLocked(handle)
 	c.liveMu.Unlock()
 	s.mu.Unlock()
 	return c, nil
 }
 
-// forget removes a disposed Reusable child from the children table, leaving
-// its port bindings in place for revival.
-func (s *SMM) forget(c *Component) {
+// dispose takes c out of service: in one s.mu critical section it flips
+// disposed (unless c is already disposed or, without force, no longer
+// idle), changes the children table, and takes the instance's own SMM and
+// wedge out of it. A Reusable instance the table still names stays there
+// as a dormant shell with its port bindings intact; any other instance —
+// transient, forced, or swapped out of the table — is detached. The
+// teardown of the taken resources runs after the lock is dropped, so a
+// revival may proceed concurrently with it. It reports whether c was
+// disposed by this call.
+func (s *SMM) dispose(c *Component, force bool) bool {
 	s.mu.Lock()
-	if s.children[c.name] == c {
-		delete(s.children, c.name)
+	c.liveMu.Lock()
+	if c.disposed || !force && !c.idleLocked() {
+		c.liveMu.Unlock()
+		s.mu.Unlock()
+		return false
 	}
+	c.disposed = true
+	if c.disposeWait != nil {
+		close(c.disposeWait)
+		c.disposeWait = nil
+	}
+	c.liveMu.Unlock()
+	if force || !c.def.Reusable || s.children[c.name] != c {
+		s.detachLocked(c)
+	}
+	wedge := c.wedge
+	c.wedge = nil
+	c.app.mu.Lock()
+	own := c.smm
+	c.smm = nil
+	c.app.mu.Unlock()
 	s.mu.Unlock()
+
+	teardown(own, wedge)
+	return true
 }
 
-// stashShell parks a torn-down Reusable shell for the next instantiation.
-func (s *SMM) stashShell(c *Component) {
-	s.mu.Lock()
-	if s.shells == nil {
-		s.shells = make(map[string]*Component)
-	}
-	s.shells[c.name] = c
-	s.mu.Unlock()
-}
-
-// takeShell claims a stashed shell, if any. A shell superseded by a newer
-// instance is dropped instead: its quiescence forgot it before a send
-// instantiated a fresh instance (rebinding the ports), and its stash landed
-// afterwards.
-func (s *SMM) takeShell(name string) *Component {
-	s.mu.Lock()
-	c := s.shells[name]
-	if c != nil {
-		delete(s.shells, name)
-		if c.incarnation != s.incarnations[name] {
-			c = nil
-		}
-	}
-	s.mu.Unlock()
-	return c
-}
-
-// detach unbinds a disposed child's ports and forgets the instance. The
-// port structures stay registered so a future instantiation reuses them.
-func (s *SMM) detach(c *Component) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// detachLocked drops c from the children table and unbinds its ports. The
+// port structures stay registered so a future instantiation reuses them,
+// and an In port keeps its handler so deliveries already buffered drain
+// against it. s.mu is held.
+func (s *SMM) detachLocked(c *Component) {
 	if s.children[c.name] == c {
 		delete(s.children, c.name)
 	}
@@ -750,57 +755,51 @@ func (s *SMM) detach(c *Component) {
 	}
 }
 
-// resolveIn returns the In port for a qualified destination name, with a
-// live owner bound — instantiating the owning child if needed. This is the
-// proxy behaviour of §2.2: "the SMM checks the proxies for the existing
-// component or, if none are found, creates a new scoped memory component
-// which should receive the message".
+// resolveIn returns the In port for a qualified destination name together
+// with its owner, reserved for one delivery — instantiating or reviving the
+// owning child if needed. This is the proxy behaviour of §2.2: "the SMM
+// checks the proxies for the existing component or, if none are found,
+// creates a new scoped memory component which should receive the message".
+// The port's current binding is tried first (shadow ports name components
+// another SMM manages); otherwise acquire hands back a reserved instance,
+// so there is no race left to retry.
 func (s *SMM) resolveIn(qname string) (*InPort, *Component, error) {
 	compName, _, ok := strings.Cut(qname, ".")
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q is not a qualified name", ErrUnknownPort, qname)
 	}
-	// Losing the binding race means a concurrent quiesce, swap, or revival
-	// won it between materialize and addPending — always transient progress
-	// elsewhere, never a terminal state — so the retry is bounded by time,
-	// not by attempts: back-to-back swaps can legitimately beat a descheduled
-	// sender several times in a row, and a send must not be dropped because
-	// reconfiguration was busy. A stopping app exits via materialize's
-	// ErrStopped.
-	deadline := time.Now().Add(resolveRetryBound)
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		p := s.in[qname]
-		s.mu.Unlock()
-		if p != nil {
-			if owner, _ := p.binding(); owner != nil && owner.addPending() {
-				return p, owner, nil
-			}
-		}
-		if compName == s.owner.name {
-			if p == nil {
-				return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPort, qname)
-			}
-			// The owner itself is never transient; a nil binding here means
-			// the app is stopping.
-			return nil, nil, ErrStopped
-		}
-		if _, err := s.materialize(compName); err != nil {
-			return nil, nil, fmt.Errorf("deliver to %q: %w", qname, err)
-		}
-		if attempt >= 2 {
-			if time.Now().After(deadline) {
-				return nil, nil, fmt.Errorf("core: deliver to %q: owner kept quiescing", qname)
-			}
-			time.Sleep(20 * time.Microsecond) // let the winning swap/quiesce settle
+	s.mu.Lock()
+	p := s.in[qname]
+	s.mu.Unlock()
+	if p != nil {
+		if owner, _ := p.binding(); owner != nil && owner.reserve(false) {
+			return p, owner, nil
 		}
 	}
+	if compName == s.owner.name {
+		if p == nil {
+			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPort, qname)
+		}
+		// The owner itself is never transient; a nil binding here means
+		// the app is stopping.
+		return nil, nil, ErrStopped
+	}
+	owner, err := s.acquire(compName, false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("deliver to %q: %w", qname, err)
+	}
+	if p == nil {
+		s.mu.Lock()
+		p = s.in[qname]
+		s.mu.Unlock()
+	}
+	if p == nil {
+		owner.donePending()
+		owner.maybeQuiesce()
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPort, qname)
+	}
+	return p, owner, nil
 }
-
-// resolveRetryBound caps resolveIn's retry loop. Each lost race is caused by
-// a reconfiguration that committed in the window, so sustained loss for this
-// long means something is wedged and the send error is the honest report.
-const resolveRetryBound = 10 * time.Second
 
 // routeSet is one OutPort's cached resolution of destination names to In
 // ports; it stays valid while gen matches the SMM's routeGen.
@@ -946,26 +945,27 @@ func (s *SMM) sendSerialized(p *OutPort, msg Message, prio sched.Priority, deadl
 	return firstErr
 }
 
-// deliverAsync reserves the destination owner, enqueues the item, and
-// schedules a dispatch at the message priority. The cached route resolves
-// the In port without touching the SMM; the slow path (unregistered port,
-// quiescing or never-instantiated owner) falls back to resolveIn, which
-// materializes the owning child.
-func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
-	in := r.in
-	var owner *Component
-	if in != nil {
-		if o, _ := in.binding(); o != nil && o.addPending() {
-			owner = o
+// reserveDest returns r's In port with its owner reserved for one
+// delivery. The cached route resolves the In port without touching the
+// SMM; the slow path (unregistered port, dormant, disposed or
+// never-instantiated owner) falls back to resolveIn, which acquires the
+// owning child.
+func (s *SMM) reserveDest(r *route) (*InPort, *Component, error) {
+	if in := r.in; in != nil {
+		if o, _ := in.binding(); o != nil && o.reserve(false) {
+			return in, o, nil
 		}
 	}
-	if owner == nil {
-		var err error
-		in, owner, err = s.resolveIn(r.dest)
-		if err != nil {
-			env.done()
-			return err
-		}
+	return s.resolveIn(r.dest)
+}
+
+// deliverAsync reserves the destination owner, enqueues the item, and
+// schedules a dispatch at the message priority.
+func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
+	in, owner, err := s.reserveDest(r)
+	if err != nil {
+		env.done()
+		return err
 	}
 	if in.typ.Name != p.typ.Name {
 		owner.donePending()
@@ -1103,22 +1103,12 @@ func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priori
 	var firstErr error
 	for i := range rs.routes {
 		r := &rs.routes[i]
-		in := r.in
-		var owner *Component
-		if in != nil {
-			if o, _ := in.binding(); o != nil && o.addPending() {
-				owner = o
+		in, owner, err := s.reserveDest(r)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
 			}
-		}
-		if owner == nil {
-			var err error
-			in, owner, err = s.resolveIn(r.dest)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
+			continue
 		}
 		if in.typ.Name != p.typ.Name {
 			owner.donePending()
@@ -1135,7 +1125,7 @@ func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priori
 			}
 		}
 		_, handler := in.binding()
-		err := proc.ctx.ExecuteInArea(s.area, func(actx *memory.Context) error {
+		err = proc.ctx.ExecuteInArea(s.area, func(actx *memory.Context) error {
 			run := func(hctx *memory.Context) error {
 				return s.process(handler, &Proc{comp: owner, smm: s, ctx: hctx, prio: prio}, msg)
 			}

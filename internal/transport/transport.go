@@ -199,10 +199,18 @@ func (n *Inproc) Dial(addr string) (Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.backlog <- server:
-		return client, nil
 	case <-l.done():
 		return nil, opError("dial", addr, ErrClosed)
 	}
+	// A listener that closed while the connection was queued never accepts
+	// it. Close drains the backlog after it marks the listener closed, so a
+	// Dial that still sees it open here is covered by that drain; one that
+	// sees it closed drains too, since its send may have landed after.
+	if l.isClosed() && l.drain(server) {
+		client.Close()
+		return nil, opError("dial", addr, ErrClosed)
+	}
+	return client, nil
 }
 
 type inprocListener struct {
@@ -221,6 +229,29 @@ func (l *inprocListener) done() chan struct{} {
 		l.closed = make(chan struct{})
 	}
 	return l.closed
+}
+
+func (l *inprocListener) isClosed() bool {
+	select {
+	case <-l.done():
+		return true
+	default:
+		return false
+	}
+}
+
+// drain closes every connection still queued for Accept, reporting whether
+// own was among them.
+func (l *inprocListener) drain(own Conn) (dropped bool) {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+			dropped = dropped || c == own
+		default:
+			return dropped
+		}
+	}
 }
 
 func (l *inprocListener) Accept() (Conn, error) {
@@ -249,6 +280,9 @@ func (l *inprocListener) Close() error {
 	l.net.mu.Lock()
 	delete(l.net.listeners, l.addr)
 	l.net.mu.Unlock()
+	// Queued connections are never accepted now: close them so their
+	// dialers see the peer gone instead of waiting on it forever.
+	l.drain(nil)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -203,6 +204,38 @@ func TestInprocClose(t *testing.T) {
 		t.Fatalf("rebind: %v", err)
 	}
 	l2.Close()
+}
+
+// TestInprocCloseDropsQueuedConns dials a listener that never accepts and
+// then closes it: the queued connection must be closed with the listener,
+// so the dialer's read ends instead of waiting on a peer nobody serves.
+func TestInprocCloseDropsQueuedConns(t *testing.T) {
+	n := NewInproc()
+	l, err := n.Listen("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("read from a dropped queued conn: %v, want io.EOF", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued connection outlived its closed listener")
+	}
 }
 
 func TestTCPListenerClose(t *testing.T) {
